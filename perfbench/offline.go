@@ -29,48 +29,35 @@ var (
 //go:embed offline-paper.sha256
 var offlineDigest string
 
-// compileRounds is how many times set-up compiles every workload program;
-// setup_s is the median round.
-const compileRounds = 5
-
 // round is one pass of the offline pipeline.
 type round struct {
 	artifacts float64            // suite + every render, s
 	suite     float64            // engine.RunSuite, s
-	suiteCPU  time.Duration      // process CPU during the suite
 	events    uint64             // value events the suite predicted
 	render    map[string]float64 // per experiment, s
 	digest    string
 }
 
-// runOffline: engine.RunSuite on a fixed subset, then every experiment
-// rendered; no serve, snapshot or network code runs. Rounds repeat the
-// whole pipeline and the medians are reported. The seed does not change
-// the inputs here — the digest lock pins them — and is only recorded.
-func runOffline(e *env) error {
-	var compiles []float64
-	for i := 0; i < compileRounds; i++ {
-		id := e.sp.begin("bench.compile", 0)
-		t0 := time.Now()
-		for _, w := range bench.Registry() {
-			if _, err := w.Compile(bench.RefOpt); e.op(err) != nil {
-				return err
-			}
-		}
-		compiles = append(compiles, time.Since(t0).Seconds())
-		e.sp.end(id, 0)
-	}
+// offline is the offline part of every run: engine.RunSuite on a fixed
+// subset, then every experiment rendered, in the benchmark's own process
+// while no server runs. The digest lock pins the inputs, so the seed does
+// not change them.
+//
+// A run does half its rounds before the serve part and half after it,
+// and reports medians over all of them. The host's speed drifts over tens
+// of seconds; rounds at both ends of the run sample two stretches of it,
+// where back-to-back rounds would sample one.
+type offline struct {
+	rounds []*round
+}
 
-	rounds := max(3, e.seconds/3)
-	var all, traced, plain []*round
-	for i := 0; i < rounds; i++ {
-		// A traced run records spans on every other round only; the
-		// rounds between give the tracing overhead.
-		sp := e.sp
-		if e.traced && i%2 == 1 {
-			sp = nil
-		}
-		r, err := pipeline(sp)
+// offlineHalf is how many rounds of the pipeline each half runs.
+func offlineHalf(e *env) int { return max(3, e.seconds/5) }
+
+// run repeats the whole pipeline n times, checking each round's output.
+func (o *offline) run(e *env, n int) error {
+	for i := 0; i < n; i++ {
+		r, err := pipeline(e.sp)
 		if err != nil {
 			return err
 		}
@@ -80,32 +67,29 @@ func runOffline(e *env) error {
 		if e.op(err) != nil {
 			return err
 		}
-		all = append(all, r)
-		if sp == nil {
-			plain = append(plain, r)
-		} else {
-			traced = append(traced, r)
-		}
+		o.rounds = append(o.rounds, r)
 	}
-	pick := func(rs []*round, f func(*round) float64) float64 {
-		xs := make([]float64, len(rs))
-		for i, r := range rs {
+	return nil
+}
+
+// report sets artifacts_s, or in a traced run the sim, engine and
+// experiments layers.
+func (o *offline) report(e *env) error {
+	all := o.rounds
+	pick := func(f func(*round) float64) float64 {
+		xs := make([]float64, len(all))
+		for i, r := range all {
 			xs[i] = f(r)
 		}
 		return median(xs)
 	}
+	arts := make([]float64, len(all))
+	for i, r := range all {
+		arts[i] = r.artifacts
+	}
+	fmt.Fprintf(os.Stderr, "rounds:   artifacts s %.3f\n", arts)
 	if !e.traced {
-		rss, err := peakRSS(os.Getpid())
-		if err != nil {
-			return err
-		}
-		e.set("setup_s", median(compiles), "s")
-		e.set("artifacts_s", pick(all, func(r *round) float64 { return r.artifacts }), "s")
-		e.set("events_per_s", pick(all, func(r *round) float64 { return float64(r.events) / r.suite }), "1/s")
-		e.set("cpu_ns_per_event", pick(all, func(r *round) float64 {
-			return float64(r.suiteCPU.Nanoseconds()) / float64(r.events)
-		}), "ns")
-		e.set("rss_peak_mb", rss, "MiB")
+		e.set("artifacts_s", pick(func(r *round) float64 { return r.artifacts }), "s")
 		return nil
 	}
 
@@ -116,29 +100,24 @@ func runOffline(e *env) error {
 	if err != nil {
 		return err
 	}
-	suite := pick(traced, func(r *round) float64 { return r.suite })
-	events := traced[0].events
+	suite := pick(func(r *round) float64 { return r.suite })
+	events := all[0].events
 	if events != simEvents {
 		return fmt.Errorf("suite predicted %d events, the streams delivered %d", events, simEvents)
 	}
 	e.set("sim.ns_per_event", simS*1e9/float64(events), "ns")
 	e.set("engine.suite_s", suite, "s")
 	e.set("engine.ns_per_event", (suite-streamS)*1e9/float64(events), "ns")
-	renderAll := pick(traced, func(r *round) float64 {
+	e.set("experiments.render_s", pick(func(r *round) float64 {
 		var s float64
 		for _, v := range r.render {
 			s += v
 		}
 		return s
-	})
-	e.set("experiments.render_s", renderAll, "s")
+	}), "s")
 	for _, id := range []string{"fig11", "table6", "table7", "ceil"} {
-		e.set("experiments."+id+"_s", pick(traced, func(r *round) float64 { return r.render[id] }), "s")
+		e.set("experiments."+id+"_s", pick(func(r *round) float64 { return r.render[id] }), "s")
 	}
-	on := pick(traced, func(r *round) float64 { return r.artifacts })
-	off := pick(plain, func(r *round) float64 { return r.artifacts })
-	e.set("bench.trace_overhead_pct", 100*(on-off)/off, "%")
-	e.set("bench.ledger_coverage_pct", 100*(suite+renderAll)/on, "%")
 	return nil
 }
 
@@ -149,21 +128,12 @@ func pipeline(sp *spans) (*round, error) {
 	r := &round{render: make(map[string]float64)}
 	root := sp.begin("offline.artifacts", 0)
 	t0 := time.Now()
-	c0, err := selfCPU()
-	if err != nil {
-		return nil, err
-	}
 	id := sp.begin("engine.suite", root)
 	suite, err := engine.RunSuite(engine.Config{Analysis: analysis.Config{Events: cfg.Events, Benchmarks: cfg.Benchmarks}})
 	r.suite = time.Since(t0).Seconds()
 	if err != nil {
 		return nil, err
 	}
-	c1, err := selfCPU()
-	if err != nil {
-		return nil, err
-	}
-	r.suiteCPU = c1 - c0
 	for _, br := range suite.Results {
 		r.events += br.Events
 	}
@@ -217,15 +187,6 @@ func simLayer(e *env) (streamS, simS float64, events uint64, err error) {
 		events += k
 	}
 	return stream.Seconds(), (stream - compile).Seconds(), events, nil
-}
-
-// selfCPU returns this process's CPU time so far.
-func selfCPU() (time.Duration, error) {
-	b, err := os.ReadFile("/proc/self/stat")
-	if err != nil {
-		return 0, err
-	}
-	return parseStatCPU(b)
 }
 
 // writeDigest prints the digest of one pipeline round (used to refresh

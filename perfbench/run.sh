@@ -9,6 +9,10 @@
 set -euo pipefail
 
 root=$(pwd)
+if [[ ! -f go.mod || ! -d cmd/vpserve || ! -d internal/serve ]]; then
+	echo "perfbench: run from the root of a checkout of the repository (no go.mod, cmd/vpserve or internal/serve here)" >&2
+	exit 2
+fi
 out=${CARGO_TARGET_DIR:-.bench_build}
 case $out in /*) ;; *) out="$root/$out" ;; esac
 mkdir -p "$out/gocache" "$out/gotmp" "$out/config"
@@ -16,6 +20,10 @@ mkdir -p "$out/gocache" "$out/gotmp" "$out/config"
 export GOCACHE="$out/gocache" GOTMPDIR="$out/gotmp" GOMODCACHE="$out/gomod" \
 	TMPDIR="$out/gotmp" XDG_CONFIG_HOME="$out/config" \
 	GOTOOLCHAIN=local GOPROXY=off GOFLAGS= GOWORK=off
+# With telemetry on (the default is "local"), the go command forks a detached
+# child that can outlive it; "off" in the mode file stops that child.
+mkdir -p "$out/config/go/telemetry"
+echo off >"$out/config/go/telemetry/mode"
 
 go build -o "$out/vpserve" ./cmd/vpserve
 (cd perfbench && go build -o "$out/perfbench" .)

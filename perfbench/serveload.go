@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,10 +26,12 @@ const (
 	// load. A cold start takes milliseconds, so it is repeated more.
 	restoreSetups = 5
 	coldSetups    = 15
-	// restoreStarts is how many restarts time serve-growth's restore_s.
+	// restoreStarts is how many restarts from the final chain time
+	// restore_s.
 	restoreStarts = 5
 	// segments is how many times a serve run repeats drive, open-loop
-	// window and checkpoint cut; each metric is the median over them.
+	// window and checkpoint cut; each metric is the median or mean over
+	// them.
 	segments = 10
 	// coreEvents bounds the in-process per-predictor replays of a traced
 	// run.
@@ -52,11 +55,15 @@ type profile struct {
 	olRate    float64 // offered events/s in the open-loop latency phase
 	olBatch   int     // events per open-loop request
 	olShare   float64 // open-loop windows' total length as a share of --seconds
+	// growing: the tables grow through the run, so no two segments do
+	// the same work, and throughput is all drive events over all drive
+	// time rather than the median segment's rate.
+	growing bool
 }
 
 var (
 	steadyProfile = profile{driveRate: 1_000_000, olRate: 250_000, olBatch: 1024, olShare: 0.4}
-	growthProfile = profile{driveRate: 20_000, olRate: 50_000, olBatch: 256, olShare: 0.4}
+	growthProfile = profile{driveRate: 20_000, olRate: 50_000, olBatch: 256, olShare: 0.4, growing: true}
 )
 
 // runSteady serves the program cycle, from a seeded offset, to a server
@@ -93,6 +100,9 @@ func runSteady(e *env) error {
 	if err := srv.stop(); err != nil {
 		return err
 	}
+	if err := e.restores(dir); err != nil {
+		return err
+	}
 	if err := e.snapshotLayer(dir); err != nil {
 		return err
 	}
@@ -122,18 +132,8 @@ func runGrowth(e *env) error {
 	if err := srv.stop(); err != nil {
 		return err
 	}
-	var restores []float64
-	for i := 0; i < restoreStarts; i++ {
-		s, c, ready, err := e.start("-restore", dir)
-		if e.op(err) != nil {
-			return err
-		}
-		c.Close()
-		s.kill()
-		restores = append(restores, ready.Seconds())
-	}
-	if !e.traced {
-		e.set("restore_s", median(restores), "s")
+	if err := e.restores(dir); err != nil {
+		return err
 	}
 	if err := e.snapshotLayer(dir); err != nil {
 		return err
@@ -141,9 +141,35 @@ func runGrowth(e *env) error {
 	return e.checkAndCore(nil, func() source { return newGrowth(cycle, e.seed) }, ph)
 }
 
+// restores restarts the server from the final chain in dir, timing each
+// start to its first accepted hello; restore_s is the median.
+func (e *env) restores(dir string) error {
+	var readies []float64
+	for i := 0; i < restoreStarts; i++ {
+		id := e.sp.begin("serve.restore", 0)
+		s, c, ready, err := e.start("-restore", dir)
+		e.sp.end(id, 0)
+		if e.op(err) != nil {
+			return err
+		}
+		c.Close()
+		s.kill()
+		readies = append(readies, ready.Seconds())
+	}
+	if !e.traced {
+		e.set("restore_s", median(readies), "s")
+	}
+	return nil
+}
+
 // start runs a vpserve child (see startServer) and registers it, so
 // stopAll can reap it whatever path the run leaves by.
 func (e *env) start(args ...string) (*server, *serve.Client, time.Duration, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.stopped {
+		return nil, nil, 0, errors.New("stopped")
+	}
 	s, c, ready, err := startServer(e.vpserve, args...)
 	if err == nil {
 		e.servers = append(e.servers, s)
@@ -151,8 +177,13 @@ func (e *env) start(args ...string) (*server, *serve.Client, time.Duration, erro
 	return s, c, ready, err
 }
 
-// stopAll kills every server still running and waits for each to exit.
+// stopAll kills every server still running, waits for each to exit and
+// refuses later starts. It is safe to call from a signal handler's
+// goroutine while a run is starting servers.
 func (e *env) stopAll() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.stopped = true
 	for _, s := range e.servers {
 		s.kill()
 	}
@@ -237,7 +268,7 @@ func (e *env) servePhases(srv *server, l *link, src source, p profile) (*phaseRe
 	olReqs := int(p.olShare*float64(e.seconds)*p.olRate/float64(p.olBatch)) / segments
 	period := time.Duration(float64(time.Second) * float64(p.olBatch) / p.olRate)
 	var rates, cpus, cuts, p50s, p90s []float64
-	var cpuAll time.Duration
+	var cpuAll, driveAll time.Duration
 	var late []time.Duration
 	// Traced-run accumulators: server CPU, wall time and events of the
 	// traced and the untraced drives, and metric deltas over the traced
@@ -277,6 +308,7 @@ func (e *env) servePhases(srv *server, l *link, src source, p profile) (*phaseRe
 		rates = append(rates, float64(t.events)/d.Seconds())
 		cpus = append(cpus, float64(cpu.Nanoseconds())/float64(t.events))
 		cpuAll += cpu
+		driveAll += d
 		if traced {
 			cpuOn += cpu
 			wallOn += d
@@ -331,14 +363,20 @@ func (e *env) servePhases(srv *server, l *link, src source, p profile) (*phaseRe
 		rates, cpus, p90s, cuts)
 
 	if !e.traced {
-		e.set("events_per_s", median(rates), "1/s")
+		rate := median(rates)
+		if p.growing {
+			rate = float64(seg*segments) / driveAll.Seconds()
+		}
+		e.set("events_per_s", rate, "1/s")
 		// CPU time counts in 10ms ticks, too coarse for one short
 		// segment; over all of them it is exact to a fraction of a
 		// percent.
 		e.set("cpu_ns_per_event", float64(cpuAll.Nanoseconds())/float64(seg*segments), "ns")
 		e.set("lat_p50_ms", median(p50s), "ms")
 		e.set("lat_p90_ms", median(p90s), "ms")
-		e.set("ckpt_s", median(cuts), "s")
+		// The mean, not the median: on serve-growth the cuts grow with
+		// the tables, and the median would rest on the middle two alone.
+		e.set("ckpt_s", mean(cuts), "s")
 		e.set("rss_peak_mb", rss, "MiB")
 		e.set("hit_pct", 100*float64(res.served.correct[fcm3])/float64(res.served.events), "%")
 		return res, nil
@@ -354,7 +392,6 @@ func (e *env) servePhases(srv *server, l *link, src source, p profile) (*phaseRe
 	e.set("serve.unaccounted_ns_per_event", cpuPerEv-bank-dispatch, "ns")
 	e.set("serve.pc_runs_per_event", delta["vp_batch_pc_runs_sum"]/ev, "count")
 	e.set("serve.mailbox_highwater", end[`vp_shard_mailbox_highwater{shard="0"}`], "count")
-	e.set("serve.gc_pause_ms", delta["vp_go_gc_pause_ns_sum"]/1e6, "ms")
 	e.set("serve.heap_mb", end["vp_go_heap_bytes"]/(1<<20), "MiB")
 	cutN := delta[`cut:vp_checkpoint_total{kind="delta"}`]
 	if cutN < 1 {

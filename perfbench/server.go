@@ -41,6 +41,8 @@ var (
 func startServer(bin string, extra ...string) (*server, *serve.Client, time.Duration, error) {
 	args := append([]string{"-addr", "127.0.0.1:0", "-http", "127.0.0.1:0", "-shards", "1"}, extra...)
 	s := &server{cmd: exec.Command(bin, args...), waited: make(chan struct{})}
+	// The child dies with the benchmark, however the benchmark ends.
+	s.cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	stderr, err := s.cmd.StderrPipe()
 	if err != nil {
 		return nil, nil, 0, err
