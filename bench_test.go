@@ -11,6 +11,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -460,9 +461,9 @@ func BenchmarkServeShards4(b *testing.B) { benchServe(b, 4) }
 
 // trainedSnapshot builds the checkpoint image of the standard predictor
 // bank after learning the serve bench stream, through the real capture
-// path: a 4-shard server drives the stream and writes a checkpoint.
-// Cached so the encode/decode/restore benchmarks all measure the same
-// state.
+// path: a 4-shard server drives the stream and writes its shutdown
+// checkpoint, a chain root. Cached so the encode/decode/restore
+// benchmarks all measure the same state; data is the root file's bytes.
 var trainedSnapshotOnce struct {
 	snap *snapshot.Snapshot
 	data []byte
@@ -488,7 +489,7 @@ func trainedSnapshot(tb testing.TB) (*snapshot.Snapshot, []byte) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	snap, err := snapshot.ReadFile(info.Path)
+	snap, _, err := snapshot.ResolveChain(info.Path)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -501,18 +502,22 @@ func trainedSnapshot(tb testing.TB) (*snapshot.Snapshot, []byte) {
 	return snap, data
 }
 
-// BenchmarkSnapshotEncode measures the codec's framing + checksum
-// throughput: MB/s of file bytes produced from an already-captured
-// image (the per-predictor SaveState cost is measured end to end by
-// BenchmarkServeCheckpoint). events/op is the learning the image
-// represents.
+// BenchmarkSnapshotEncode measures the checkpoint codec's framing +
+// checksum throughput: MB/s of file bytes produced from an
+// already-captured root image (the per-predictor SaveState cost is
+// measured end to end by BenchmarkServeCheckpoint). events/op is the
+// learning the image represents.
 func BenchmarkSnapshotEncode(b *testing.B) {
-	snap, data := trainedSnapshot(b)
+	_, data := trainedSnapshot(b)
+	root, err := snapshot.DecodeDeltaBytes(data)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snapshot.Encode(io.Discard, snap); err != nil {
+		if _, err := snapshot.EncodeDelta(io.Discard, root); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -520,30 +525,36 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 }
 
 // BenchmarkSnapshotDecode measures checkpoint parse+verify throughput
-// (checksum, framing, structure) without predictor reconstruction.
+// (checksum, framing, structure) without chunk reassembly or predictor
+// reconstruction.
 func BenchmarkSnapshotDecode(b *testing.B) {
 	_, data := trainedSnapshot(b)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := snapshot.DecodeBytes(data); err != nil {
+		if _, err := snapshot.DecodeDeltaBytes(data); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkSnapshotRestore measures the full warm-restart path: decode,
-// verify and load every predictor table into fresh instances. events/op
-// is the events-to-warm equivalent — the stream length a cold server
-// would have to re-serve to reach the same state.
+// BenchmarkSnapshotRestore measures the full warm-restart path: read,
+// decode and resolve the checkpoint (every chunk's hash and CRC
+// verified), then load every predictor table into fresh instances.
+// events/op is the events-to-warm equivalent — the stream length a cold
+// server would have to re-serve to reach the same state.
 func BenchmarkSnapshotRestore(b *testing.B) {
-	_, data := trainedSnapshot(b)
+	snap, data := trainedSnapshot(b)
+	path := filepath.Join(b.TempDir(), snapshot.DeltaFilename(snap.Meta.Events, snap.Meta.CreatedUnixNano, snap.Meta.ID))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap, err := snapshot.DecodeBytes(data)
+		snap, _, err := snapshot.ResolveChain(path)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -554,9 +565,10 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 	b.ReportMetric(float64(len(serveBenchStream())), "events/op")
 }
 
-// BenchmarkServeCheckpoint measures an online checkpoint of a loaded
-// server: the request-atomic cut, per-shard serialization and the atomic
-// file write, while the server is otherwise idle.
+// BenchmarkServeCheckpoint measures an online full checkpoint (a chain
+// root) of a loaded server: the request-atomic cut, per-shard
+// serialization of every chunk and the atomic file write, while the
+// server is otherwise idle.
 func BenchmarkServeCheckpoint(b *testing.B) {
 	evs := serveBenchStream()
 	dir := b.TempDir()
@@ -574,7 +586,7 @@ func BenchmarkServeCheckpoint(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		info, err := s.WriteCheckpoint(dir)
+		info, err := s.WriteFullCheckpoint(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -631,7 +643,7 @@ func deltaBenchStream() (train, hot []serve.Event) {
 }
 
 // BenchmarkSnapshotDeltaEncode measures an incremental checkpoint cut on
-// a loaded delta-mode server when ~5% of PCs have mutated since the
+// a loaded server when ~5% of PCs have mutated since the
 // previous cut: per op, the hot PC band is re-driven (untimed) and then
 // one delta is cut (timed) — dirty-chunk serialization, content-hash
 // dedup of the clean remainder, and the streaming file write. The
@@ -643,7 +655,7 @@ func deltaBenchStream() (train, hot []serve.Event) {
 func BenchmarkSnapshotDeltaEncode(b *testing.B) {
 	train, hot := deltaBenchStream()
 	dir := b.TempDir()
-	s, err := serve.New(serve.Config{Shards: 4, CheckpointDir: dir, DeltaCheckpoints: true, FullEvery: 1 << 30})
+	s, err := serve.New(serve.Config{Shards: 4, CheckpointDir: dir, FullEvery: 1 << 30})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,28 +8,25 @@
 //	vpserve -addr :9747 -http :9748 -shards 8 -pred l,s2,fcm1,fcm2,fcm3
 //
 // With a checkpoint directory the server becomes durable: it writes
-// periodic snapshots of every predictor table, a final one on graceful
+// periodic checkpoints of every predictor table, a final one on graceful
 // shutdown (SIGTERM/SIGINT), and can warm-restart from one so a restarted
 // server predicts bit-identically to one that never stopped:
 //
 //	vpserve -checkpoint-dir /var/lib/vpserve -checkpoint-interval 30s
 //	vpserve -checkpoint-dir /var/lib/vpserve -restore /var/lib/vpserve
 //
-// With -checkpoint-delta checkpoints become incremental: each cut stores
-// only the state chunks dirtied since the previous one (the rest dedup
-// to content-hash references into the chain) and every
-// -checkpoint-full-every deltas a full checkpoint roots a fresh chain
-// and sweeps the superseded files:
-//
-//	vpserve -checkpoint-dir /var/lib/vpserve -checkpoint-interval 30s \
-//	        -checkpoint-delta -checkpoint-full-every 8
+// Checkpoints form a .vpdelta chain: each cut stores only the state
+// chunks dirtied since the previous one (the rest dedup to content-hash
+// references into the chain), and after every -checkpoint-full-every
+// deltas a full checkpoint roots a fresh chain and sweeps the superseded
+// files. -checkpoint-delta is accepted and ignored.
 //
 // -restore accepts a checkpoint file or a directory (the newest
-// checkpoint of either generation wins); delta chains are resolved back
-// through their parents automatically. Unless overridden, the shard
-// count and predictor bank are taken from the snapshot. POST /snapshot
-// on the HTTP endpoint triggers an immediate checkpoint (?full=1 forces
-// a full cut). Drive it with the load generator:
+// checkpoint wins, legacy .vpsnap snapshots included); chains are
+// resolved back through their parents automatically. Unless overridden,
+// the shard count and predictor bank are taken from the snapshot.
+// POST /snapshot on the HTTP endpoint triggers an immediate checkpoint
+// (?full=1 forces a full cut). Drive it with the load generator:
 //
 //	vptrace capture -bench gcc -events 1000000 -o gcc.vpt
 //	vptrace drive -addr localhost:9747 -clients 8 gcc.vpt
@@ -61,8 +58,8 @@ func main() {
 	mailbox := flag.Int("mailbox", 0, "per-shard mailbox depth (0 = default)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for predictor-state snapshots (enables checkpointing)")
 	ckptEvery := flag.Duration("checkpoint-interval", 0, "write a checkpoint this often (0 = only on shutdown/trigger; needs -checkpoint-dir)")
-	ckptDelta := flag.Bool("checkpoint-delta", false, "write incremental (delta-chain) checkpoints: only state chunks dirtied since the previous cut are stored, the rest dedup to content-hash references")
-	ckptFullEvery := flag.Int("checkpoint-full-every", 0, "with -checkpoint-delta, force a full checkpoint after this many deltas and sweep the superseded chain (0 = 8)")
+	flag.Bool("checkpoint-delta", false, "ignored: delta-chain checkpoints are always on")
+	ckptFullEvery := flag.Int("checkpoint-full-every", 0, "cut a full checkpoint (a fresh chain root) after this many deltas and sweep the superseded chain (0 = 8)")
 	restore := flag.String("restore", "", "warm-restart from this snapshot file, or the newest snapshot in this directory")
 	logLevel := flag.String("log-level", "", "minimum log level (debug|info|warn|error; default $"+obs.LogLevelEnv+", then info)")
 	predstatOn := flag.Bool("predstat", true, "track per-PC predictability analytics (GET /predictability, vp_pc_entropy_bits & friends)")
@@ -108,7 +105,7 @@ func main() {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {
 			fatal(fmt.Errorf("checkpoint dir: %w", err))
 		}
-		probe, err := os.CreateTemp(*ckptDir, ".vpsnap-probe-*")
+		probe, err := os.CreateTemp(*ckptDir, ".vpdelta-probe-*")
 		if err != nil {
 			fatal(fmt.Errorf("checkpoint dir is not writable: %w", err))
 		}
@@ -151,7 +148,6 @@ func main() {
 		Predictors:       facs,
 		MailboxDepth:     *mailbox,
 		CheckpointDir:    *ckptDir,
-		DeltaCheckpoints: *ckptDelta,
 		FullEvery:        *ckptFullEvery,
 		Logger:           log,
 		PredstatDisabled: !*predstatOn,

@@ -1,12 +1,14 @@
-// Command vpstate inspects predictor-state snapshots offline: the
-// durable checkpoints vpserve writes (see internal/snapshot) opened,
+// Command vpstate inspects predictor-state checkpoints offline: the
+// .vpdelta chains vpserve writes (see internal/snapshot) opened,
 // verified and summarized without a running server.
 //
 // Usage:
 //
 //	vpstate info [-top N] FILE         metadata, per-predictor occupancy and accuracy
-//	vpstate diff [-top N] OLD NEW      drift between two snapshots of one server
+//	vpstate diff [-top N] OLD NEW      drift between two checkpoints of one server
 //	vpstate export [-pcs] FILE         machine-readable JSON dump
+//
+// FILE is a .vpdelta checkpoint: a chain root (full) or any later link.
 //
 // info reconstructs every predictor from its state blob (so it also
 // end-to-end verifies that the snapshot restores) and reports table
@@ -17,12 +19,12 @@
 // emits everything as JSON for scripting, with -pcs including the full
 // per-PC entry counts.
 //
-// All three commands accept either generation of checkpoint: a v1
-// .vpsnap snapshot, or a v2 .vpdelta delta whose parent chain is
-// resolved from the same directory (and each link CRC-verified). For a
-// delta, info additionally reports the parent ID, chain depth, file
-// count, and the tip's dirty ratio — how many chunks were stored inline
-// versus deduplicated to content-hash references.
+// A link's parent chain is resolved from the same directory, each link
+// CRC-verified. For a delta past the root, info additionally reports the
+// parent ID, chain depth, file count, and the tip's dirty ratio — how
+// many chunks were stored inline versus deduplicated to content-hash
+// references. A legacy .vpsnap snapshot, which nothing writes any more,
+// still opens read-only.
 package main
 
 import (
@@ -130,8 +132,8 @@ func aggregate(snap *snapshot.Snapshot) ([]*predAgg, error) {
 	return aggs, nil
 }
 
-// readSnap opens a checkpoint of either generation: a v1 snapshot as-is,
-// a v2 delta with its parent chain resolved from the same directory.
+// readSnap opens a checkpoint: a .vpdelta with its parent chain resolved
+// from the same directory, or a legacy .vpsnap as-is.
 func readSnap(path string) (*snapshot.Snapshot, *snapshot.ChainInfo) {
 	snap, chain, err := snapshot.ResolveChain(path)
 	if err != nil {
@@ -157,7 +159,7 @@ func printMeta(snap *snapshot.Snapshot, chain *snapshot.ChainInfo) {
 
 // printChain summarizes a delta chain: kind, parentage, depth, and the
 // tip's chunk table split into dirty (inline) and clean (referenced)
-// chunks. Prints nothing for a v1 snapshot.
+// chunks. Prints nothing for a legacy .vpsnap snapshot.
 func printChain(chain *snapshot.ChainInfo) {
 	if chain == nil || chain.Tip == nil {
 		return
@@ -180,7 +182,7 @@ func printChain(chain *snapshot.ChainInfo) {
 }
 
 // chainSuffix is the compact chain annotation diff appends to each
-// side's header line; empty for a v1 snapshot.
+// side's header line; empty for a legacy .vpsnap snapshot.
 func chainSuffix(chain *snapshot.ChainInfo) string {
 	if chain == nil || chain.Tip == nil {
 		return ""

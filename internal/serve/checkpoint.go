@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"time"
 
@@ -25,33 +24,35 @@ type CheckpointInfo struct {
 	Events uint64 `json:"events"`
 	// Shards is the shard count of the captured layout.
 	Shards int `json:"shards"`
-	// Kind is "full" or "delta" (v1 checkpoints are always full).
+	// Kind is "full" for a chain root, "delta" for a later link.
 	Kind string `json:"kind"`
-	// Depth is the chain depth of this checkpoint (0 for a full);
-	// ParentID names the previous chain link, empty for a full.
+	// Depth is the chain depth of this checkpoint (0 for a root);
+	// ParentID names the previous chain link, empty for a root.
 	Depth    int    `json:"depth,omitempty"`
 	ParentID string `json:"parent_id,omitempty"`
 	// ChunksWritten / ChunksDeduped split this checkpoint's chunk table
-	// into inline chunks and content-hash references (delta mode only).
+	// into inline chunks and content-hash references.
 	ChunksWritten int `json:"chunks_written,omitempty"`
 	ChunksDeduped int `json:"chunks_deduped,omitempty"`
 }
 
-// WriteCheckpoint captures the full predictor state of a running server
-// and writes it atomically into dir. The cut is request-atomic: capture
-// markers ride each shard's FIFO mailbox under the exclusive cut lock,
-// so every request dispatched before the checkpoint is fully included
-// and every one dispatched after is fully excluded — each shard drains
-// its queued sub-batches before serializing. Serving continues
-// underneath; only dispatching pauses for the instant the markers are
-// mailed.
+// WriteCheckpoint captures the predictor state of a running server and
+// writes it atomically into dir as the next link of the checkpoint
+// chain: a root holding every chunk when the chain needs one (first
+// cut, after a restore or a failed cut, or every Config.FullEvery
+// links), otherwise a delta of the chunks dirtied since the tip. The cut
+// is request-atomic: capture markers ride each shard's FIFO mailbox
+// under the exclusive cut lock, so every request dispatched before the
+// checkpoint is fully included and every one dispatched after is fully
+// excluded — each shard drains its queued sub-batches before
+// serializing. Serving continues underneath; only dispatching pauses for
+// the instant the markers are mailed.
 func (s *Server) WriteCheckpoint(dir string) (CheckpointInfo, error) {
 	return s.writeCheckpoint(dir, false)
 }
 
-// WriteFullCheckpoint is WriteCheckpoint with a forced full cut: in
-// delta mode it roots a fresh chain (POST /snapshot?full=1); otherwise
-// it is identical to WriteCheckpoint.
+// WriteFullCheckpoint is WriteCheckpoint with a forced chain root
+// (POST /snapshot?full=1): every chunk inline, older chains swept.
 func (s *Server) WriteFullCheckpoint(dir string) (CheckpointInfo, error) {
 	return s.writeCheckpoint(dir, true)
 }
@@ -64,7 +65,6 @@ func (s *Server) writeCheckpoint(dir string, forceFull bool) (CheckpointInfo, er
 	// from plan to written file.
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	replies := make([]chan shardStateMsg, len(s.shards))
 	s.statsMu.Lock()
 	s.mu.Lock()
 	live := s.started && !s.closed
@@ -77,14 +77,7 @@ func (s *Server) writeCheckpoint(dir string, forceFull bool) (CheckpointInfo, er
 	cutT0 := time.Now()
 	s.health.cutStart.Store(cutT0.UnixNano())
 	s.cutMu.Lock()
-	for i, sh := range s.shards {
-		replies[i] = make(chan shardStateMsg, 1)
-		msg := shardMsg{state: replies[i]}
-		if plans != nil {
-			msg.plan = plans[i]
-		}
-		sh.mailbox <- msg
-	}
+	replies := s.mailCut(plans)
 	s.cutMu.Unlock()
 	s.statsMu.Unlock()
 	return s.assembleCheckpoint(dir, replies, plans, cutT0, otrace.Mint())
@@ -99,94 +92,27 @@ func (s *Server) checkpointShards(dir string) (CheckpointInfo, error) {
 	plans := s.planCut(false)
 	cutT0 := time.Now()
 	s.health.cutStart.Store(cutT0.UnixNano())
+	return s.assembleCheckpoint(dir, s.mailCut(plans), plans, cutT0, otrace.Mint())
+}
+
+// mailCut sends every shard its capture marker and plan, returning the
+// reply channels in shard order.
+func (s *Server) mailCut(plans []*deltaPlan) []chan shardStateMsg {
 	replies := make([]chan shardStateMsg, len(s.shards))
 	for i, sh := range s.shards {
 		replies[i] = make(chan shardStateMsg, 1)
-		msg := shardMsg{state: replies[i]}
-		if plans != nil {
-			msg.plan = plans[i]
-		}
-		sh.mailbox <- msg
+		sh.mailbox <- shardMsg{state: replies[i], plan: plans[i]}
 	}
-	return s.assembleCheckpoint(dir, replies, plans, cutT0, otrace.Mint())
-}
-
-// assembleCheckpoint drains the shard replies and writes the snapshot.
-// tctx is the checkpoint's own minted trace: cut and encode become spans
-// on the control lane and the trace is always retained, so checkpoint
-// interference shows up in GET /trace alongside the requests it delayed.
-func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, plans []*deltaPlan, cutT0 time.Time, tctx otrace.Context) (CheckpointInfo, error) {
-	if plans != nil {
-		return s.assembleDelta(dir, replies, plans, cutT0, tctx)
-	}
-	defer s.health.cutStart.Store(0)
-	snap := &snapshot.Snapshot{
-		Meta: snapshot.Meta{
-			CreatedUnixNano: time.Now().UnixNano(),
-			Predictors:      append([]string(nil), s.predNames...),
-		},
-		Shards: make([]snapshot.ShardState, len(replies)),
-	}
-	var firstErr error
-	var events uint64
-	for i, ch := range replies {
-		resp := <-ch // always drain every reply, even after an error
-		if resp.err != nil && firstErr == nil {
-			firstErr = resp.err
-		}
-		snap.Shards[i] = resp.st
-		events += resp.st.Events
-	}
-	cutNs := time.Since(cutT0).Nanoseconds()
-	s.metrics.ckptCutNs.ObserveInt(cutNs)
-	s.ring.Add(obs.StageEvent{Kind: evCheckpointCut, Shard: -1, DurNs: cutNs, N: events})
-	cutStartNs := cutT0.UnixNano()
-	s.tracer.Record(s.controlLane(), otrace.Span{
-		TraceID: tctx.TraceID, SpanID: tctx.SpanID,
-		Stage: otrace.StageCheckpointCut, Shard: -1, Pred: -1,
-		Start: cutStartNs, Dur: cutNs, N: events,
-	})
-	if firstErr != nil {
-		s.metrics.ckptErrors.Inc()
-		s.ring.Add(obs.StageEvent{Kind: evCheckpointError, Shard: -1, Detail: firstErr.Error()})
-		s.tracer.Promote(tctx, cutStartNs, cutNs, events, "checkpoint_error")
-		return CheckpointInfo{}, firstErr
-	}
-	encT0 := time.Now()
-	path, err := snapshot.WriteFileAtomic(dir, snap)
-	encNs := time.Since(encT0).Nanoseconds()
-	s.metrics.ckptEncodeNs.ObserveInt(encNs)
-	s.tracer.Record(s.controlLane(), otrace.Span{
-		TraceID: tctx.TraceID, SpanID: tctx.SpanID + 1, Parent: tctx.SpanID,
-		Stage: otrace.StageCheckpointEncode, Shard: -1, Pred: -1,
-		Start: encT0.UnixNano(), Dur: encNs, N: events,
-	})
-	s.tracer.Promote(tctx, cutStartNs, cutNs+encNs, events, "checkpoint")
-	if err != nil {
-		s.metrics.ckptErrors.Inc()
-		s.ring.Add(obs.StageEvent{Kind: evCheckpointError, Shard: -1, DurNs: encNs, Detail: err.Error()})
-		return CheckpointInfo{}, err
-	}
-	var size int64
-	if fi, statErr := os.Stat(path); statErr == nil {
-		size = fi.Size()
-	}
-	s.metrics.ckptTotal["full"].Inc()
-	s.metrics.ckptBytes["full"].Add(uint64(size))
-	s.metrics.ckptLastBytes.Set(size)
-	s.metrics.ckptLastUnix.Set(time.Now().UnixNano())
-	s.ring.Add(obs.StageEvent{Kind: evCheckpointWritten, Shard: -1, DurNs: encNs, N: uint64(size), Detail: snap.Meta.ID})
-	s.log.Info("checkpoint written",
-		"id", snap.Meta.ID, "events", snap.Meta.Events, "bytes", size,
-		"cut", time.Duration(cutNs), "encode", time.Duration(encNs))
-	return CheckpointInfo{ID: snap.Meta.ID, Path: path, Events: snap.Meta.Events, Shards: len(snap.Shards), Kind: "full"}, nil
+	return replies
 }
 
 // Restore loads a decoded snapshot into a server that has not started
 // yet, replacing every shard's predictors, tallies, PC sets and event
 // counts. The server must be configured with the snapshot's exact shard
 // count and predictor bank; after Start it continues bit-identically to
-// the server that wrote the checkpoint.
+// the server that wrote the checkpoint. The restored server has no chain
+// of its own yet, so its first cut is a fresh root — whether it was
+// restored from a chain or from a legacy .vpsnap.
 func (s *Server) Restore(snap *snapshot.Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -38,23 +38,30 @@ func driveAll(t *testing.T, s *Server, evs []Event, clients int) *DriveResult {
 }
 
 // TestKillAndRestoreParity is the subsystem's acceptance test: serve a
-// stream prefix, checkpoint, kill the server, restore a new one from the
-// checkpoint file and serve the remainder — the remainder's predictions
-// must be bit-identical to an uninterrupted run, at several shard
-// counts. Verified three ways: per-predictor tallies against the
-// uninterrupted server, against an offline WarmBank replay of the
-// remainder, and by comparing the final drained state of both servers
-// byte-for-byte.
-func TestKillAndRestoreParity(t *testing.T) {
+// stream prefix, checkpoint (the cut is a chain root), kill the server,
+// restore a new one from the checkpoint file and serve the remainder —
+// the remainder's predictions must be bit-identical to an uninterrupted
+// run, at several shard counts. TestKillAndRestoreParityDeltaChain runs
+// the same check with the kill landing mid-chain.
+func TestKillAndRestoreParity(t *testing.T) { killRestoreParity(t, 1) }
+
+// killRestoreParity serves the first two thirds of a stream in segs
+// segments, cutting a checkpoint after each (a root, then segs-1
+// deltas), kills the server, restores a new one by resolving the newest
+// checkpoint's chain and serves the remainder, at 1, 2 and 4 shards.
+// Verified three ways: per-predictor tallies against an uninterrupted
+// server, against an offline WarmBank replay of the remainder, and by
+// comparing the final drained state of both servers byte-for-byte.
+func killRestoreParity(t *testing.T, segs int) {
 	evs, _ := capturedStream(t)
 	cut := len(evs) * 2 / 3
 
 	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			dir := t.TempDir()
-			finalDir := t.TempDir()
 
 			// Uninterrupted reference run, final state checkpointed at exit.
+			refFinalDir := t.TempDir()
 			ref, err := New(Config{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
@@ -63,44 +70,75 @@ func TestKillAndRestoreParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			full := driveAll(t, ref, evs, 2)
-			refFinal, err := ref.Shutdown(finalDir)
+			refFinal, err := ref.Shutdown(refFinalDir)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			// Interrupted run: prefix, checkpoint, kill.
-			a, err := New(Config{Shards: shards})
+			// Interrupted run: drive in segments, checkpoint after each,
+			// kill after the last.
+			a, err := New(Config{Shards: shards, FullEvery: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := a.Start("127.0.0.1:0", ""); err != nil {
 				t.Fatal(err)
 			}
-			prefix := driveAll(t, a, evs[:cut], 2)
-			ck, err := a.WriteCheckpoint(dir)
-			if err != nil {
-				t.Fatal(err)
+			var prefixCorrect []uint64
+			var infos []CheckpointInfo
+			for si := 0; si < segs; si++ {
+				lo, hi := cut*si/segs, cut*(si+1)/segs
+				res := driveAll(t, a, evs[lo:hi], 2)
+				if prefixCorrect == nil {
+					prefixCorrect = make([]uint64, len(res.Correct))
+				}
+				for i, c := range res.Correct {
+					prefixCorrect[i] += c
+				}
+				info, err := a.WriteCheckpoint(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Events != uint64(hi) || info.Shards != shards {
+					t.Fatalf("checkpoint = %+v, want %d events over %d shards", info, hi, shards)
+				}
+				infos = append(infos, info)
 			}
-			if ck.Events != uint64(cut) || ck.Shards != shards {
-				t.Fatalf("checkpoint = %+v, want %d events over %d shards", ck, cut, shards)
+			if infos[0].Kind != "full" || infos[0].Depth != 0 || infos[0].ParentID != "" {
+				t.Fatalf("first checkpoint is not a chain root: %+v", infos[0])
+			}
+			for i := 1; i < segs; i++ {
+				if infos[i].Kind != "delta" || infos[i].Depth != i || infos[i].ParentID != infos[i-1].ID {
+					t.Fatalf("checkpoint %d does not extend the chain: %+v (parent %+v)", i, infos[i], infos[i-1])
+				}
+			}
+			st := a.Stats()
+			if st.Checkpoints.Full != 1 || st.Checkpoints.Deltas != uint64(segs-1) || st.Checkpoints.ChainDepth != int64(segs-1) {
+				t.Fatalf("stats checkpoint block = %+v", st.Checkpoints)
 			}
 			if err := a.Close(); err != nil { // the "kill": no graceful checkpoint
 				t.Fatal(err)
 			}
 
-			// Restart from the latest checkpoint in dir.
-			latest, err := snapshot.Latest(dir)
+			// Restart from the newest checkpoint, resolving its chain.
+			latest, err := snapshot.LatestAny(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if latest != ck.Path {
-				t.Fatalf("Latest = %s, want %s", latest, ck.Path)
+			if latest != infos[segs-1].Path {
+				t.Fatalf("LatestAny = %s, want tip %s", latest, infos[segs-1].Path)
 			}
-			snap, err := snapshot.ReadFile(latest)
+			snap, chain, err := snapshot.ResolveChain(latest)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := New(Config{Shards: shards})
+			if chain.Depth != segs-1 || len(chain.Files) != segs {
+				t.Fatalf("chain depth %d over %d files, want %d over %d", chain.Depth, len(chain.Files), segs-1, segs)
+			}
+			if snap.Meta.Events != uint64(cut) {
+				t.Fatalf("resolved chain carries %d events, want %d", snap.Meta.Events, cut)
+			}
+			b, err := New(Config{Shards: shards, FullEvery: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,34 +155,37 @@ func TestKillAndRestoreParity(t *testing.T) {
 
 			// 1. prefix + suffix must equal the uninterrupted tallies.
 			for i, name := range full.Predictors {
-				if got, want := prefix.Correct[i]+suffix.Correct[i], full.Correct[i]; got != want {
+				if got, want := prefixCorrect[i]+suffix.Correct[i], full.Correct[i]; got != want {
 					t.Errorf("%s: interrupted %d correct, uninterrupted %d", name, got, want)
 				}
 			}
 
-			// 2. The offline warm bank must reproduce the suffix exactly.
+			// 2. The offline warm bank must reproduce the suffix exactly,
+			// stepping event by event and then in batches.
 			warm, err := NewWarmBank(snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, ev := range evs[cut:] {
+			mid := cut + (len(evs)-cut)/2
+			for _, ev := range evs[cut:mid] {
 				warm.Step(ev.PC, ev.Value)
 			}
+			warm.StepBatch(evs[mid:])
 			if !reflect.DeepEqual(warm.Correct(), suffix.Correct) {
 				t.Errorf("warm bank replay %v, restored server %v", warm.Correct(), suffix.Correct)
 			}
 
 			// 3. The restored server's final drained state must be
 			// byte-identical to the uninterrupted server's.
-			bFinal, err := b.Shutdown(finalDir)
+			bFinal, err := b.Shutdown(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			refSnap, err := snapshot.ReadFile(refFinal.Path)
+			refSnap, _, err := snapshot.ResolveChain(refFinal.Path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bSnap, err := snapshot.ReadFile(bFinal.Path)
+			bSnap, _, err := snapshot.ResolveChain(bFinal.Path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,10 +239,10 @@ func TestCheckpointUnderLiveTraffic(t *testing.T) {
 			t.Errorf("%s: drive tallied %d, offline replay %d (checkpointing perturbed serving)", name, res.Correct[i], want[i])
 		}
 	}
-	// Every mid-stream checkpoint must decode cleanly and restore into a
-	// working warm bank.
+	// Every mid-stream checkpoint must resolve cleanly through its chain
+	// and restore into a working warm bank.
 	for _, info := range infos {
-		snap, err := snapshot.ReadFile(info.Path)
+		snap, _, err := snapshot.ResolveChain(info.Path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +273,7 @@ func TestRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	snap, err := snapshot.ReadFile(ck.Path)
+	snap, _, err := snapshot.ResolveChain(ck.Path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +338,7 @@ func TestStatsReportsRestoreProvenance(t *testing.T) {
 	}
 	s.Close()
 
-	snap, err := snapshot.ReadFile(ck.Path)
+	snap, _, err := snapshot.ResolveChain(ck.Path)
 	if err != nil {
 		t.Fatal(err)
 	}

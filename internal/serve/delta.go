@@ -1,18 +1,19 @@
 package serve
 
-// Delta checkpoints: the serve-side half of the v2 incremental snapshot
-// format. The server keeps a chain state between cuts — the tip
-// checkpoint's ID, per-shard parent chunk descriptors, and the set of
-// chunk hashes stored inline somewhere in the live chain. Each cut
-// decides full-vs-delta under ckptMu, mails an immutable capture plan to
-// every shard with the cut markers, and the shards serialize their
+// Checkpoint capture: the serve-side half of the .vpdelta chain, the
+// server's only checkpoint format. The server keeps a chain state between
+// cuts — the tip checkpoint's ID, per-shard parent chunk descriptors, and
+// the set of chunk hashes stored inline somewhere in the live chain. Each
+// cut decides root-vs-delta under ckptMu, mails an immutable capture plan
+// to every shard with the cut markers, and the shards serialize their
 // predictor state chunk-wise on their own goroutines: clean chunks are
-// skipped against the parent descriptors (dirty tracking is exact at
-// bank granularity — every predictor in a bank observes every event),
-// and fresh chunk bytes dedup by content hash against the whole chain.
-// Any capture or write failure poisons the chain, forcing the next cut
-// full, which is also what makes resetting the dirty bits right after a
-// shard's capture sound.
+// skipped against the parent descriptors (every serve bank tracks per-PC
+// dirty bits, exact at bank granularity — every predictor in a bank
+// observes every event), and fresh chunk bytes dedup by content hash
+// against the whole chain. A root ("full" cut) skips and references
+// nothing outside itself. Any capture or write failure poisons the
+// chain, forcing the next cut to be a root, which is also what makes
+// resetting the dirty bits right after a shard's capture sound.
 
 import (
 	"bytes"
@@ -26,8 +27,9 @@ import (
 	"repro/internal/snapshot"
 )
 
-// defaultFullEvery is how many delta checkpoints may follow a full
-// before the next cut is forced full, bounding restore chain length.
+// defaultFullEvery is how many delta checkpoints may follow a root
+// before the next cut is forced to be a root, bounding restore chain
+// length.
 const defaultFullEvery = 8
 
 // chainShard is one shard's capture descriptors from the chain tip: the
@@ -61,8 +63,8 @@ type chainState struct {
 // under ckptMu before the markers are mailed and never mutated while
 // shards read it concurrently.
 type deltaPlan struct {
-	// full captures everything inline-or-self-referenced: no parent
-	// skipping, no cross-file references (a chain root must resolve
+	// full cuts a chain root: everything inline-or-self-referenced, no
+	// parent skipping, no cross-file references (a root must resolve
 	// alone).
 	full bool
 	// hashes is the chain's read-only dedup set (nil for a full cut).
@@ -72,13 +74,9 @@ type deltaPlan struct {
 	parent *chainShard
 }
 
-// planCut decides full-vs-delta for the next checkpoint and builds the
-// per-shard capture plans; nil when delta checkpoints are disabled.
-// Called under ckptMu.
+// planCut decides root-vs-delta for the next checkpoint and builds the
+// per-shard capture plans. Called under ckptMu.
 func (s *Server) planCut(forceFull bool) []*deltaPlan {
-	if !s.cfg.DeltaCheckpoints {
-		return nil
-	}
 	st := &s.chain
 	full := forceFull || st.poisoned || st.tipID == "" ||
 		st.sinceFull >= s.cfg.FullEvery || len(st.shards) != len(s.shards)
@@ -94,7 +92,7 @@ func (s *Server) planCut(forceFull bool) []*deltaPlan {
 	return plans
 }
 
-// deltaShardState is one shard's reply to a delta-mode capture marker.
+// deltaShardState is one shard's reply to a capture marker.
 type deltaShardState struct {
 	sh      snapshot.DeltaShard
 	pcCount int
@@ -102,12 +100,14 @@ type deltaShardState struct {
 	deduped int // chunks stored as references (skipped clean or hash hit)
 }
 
-// captureDelta serializes the shard's predictor state chunk-wise for a
-// v2 checkpoint; called on the shard goroutine, like captureState. On
-// success the bank's dirty bits are reset — sound because any later
-// failure of this checkpoint poisons the chain and forces the next cut
-// full.
-func (sh *shard) captureDelta(plan *deltaPlan) shardStateMsg {
+// capture serializes the shard's predictor state chunk-wise for a
+// checkpoint; called on the shard goroutine, so it never races live
+// traffic. The mailbox is FIFO, which is what "drain" means here: every
+// sub-batch mailed before the capture request has been applied, and none
+// mailed after it is visible. On success the bank's dirty bits are reset
+// — sound because any later failure of this checkpoint poisons the chain
+// and forces the next cut to be a root.
+func (sh *shard) capture(plan *deltaPlan) shardStateMsg {
 	ds := &deltaShardState{
 		sh: snapshot.DeltaShard{
 			Shard:  sh.id,
@@ -205,14 +205,15 @@ func (sh *shard) captureDelta(plan *deltaPlan) shardStateMsg {
 		}
 	}
 	sh.bank.ResetDirty()
-	return shardStateMsg{delta: ds}
+	return shardStateMsg{st: ds}
 }
 
-// assembleDelta drains the shard replies of a delta-mode cut, writes the
-// v2 checkpoint file and advances the chain state. Mirrors
-// assembleCheckpoint's metrics, ring events and trace spans, adding the
-// chunk and chain telemetry. Called under ckptMu.
-func (s *Server) assembleDelta(dir string, replies []chan shardStateMsg, plans []*deltaPlan, cutT0 time.Time, tctx otrace.Context) (CheckpointInfo, error) {
+// assembleCheckpoint drains the shard replies of a cut, writes the
+// .vpdelta file and advances the chain state. tctx is the checkpoint's
+// own minted trace: cut and encode become spans on the control lane and
+// the trace is always retained, so checkpoint interference shows up in
+// GET /trace alongside the requests it delayed. Called under ckptMu.
+func (s *Server) assembleCheckpoint(dir string, replies []chan shardStateMsg, plans []*deltaPlan, cutT0 time.Time, tctx otrace.Context) (CheckpointInfo, error) {
 	defer s.health.cutStart.Store(0)
 	full := plans[0].full
 	kind := "delta"
@@ -239,12 +240,12 @@ func (s *Server) assembleDelta(dir string, replies []chan shardStateMsg, plans [
 		if resp.err != nil && firstErr == nil {
 			firstErr = resp.err
 		}
-		if resp.delta != nil {
-			shardStates[i] = resp.delta
-			d.Shards[i] = resp.delta.sh
-			events += resp.delta.sh.Events
-			written += resp.delta.written
-			deduped += resp.delta.deduped
+		if resp.st != nil {
+			shardStates[i] = resp.st
+			d.Shards[i] = resp.st.sh
+			events += resp.st.sh.Events
+			written += resp.st.written
+			deduped += resp.st.deduped
 		}
 	}
 	cutNs := time.Since(cutT0).Nanoseconds()

@@ -24,154 +24,10 @@ func checkpointFiles(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestKillAndRestoreParityDeltaChain is the delta-checkpoint acceptance
-// test: serve a stream in segments, cutting a full checkpoint then K
-// deltas along the way, kill the server mid-chain, restore a new one by
-// resolving full + deltas, and serve the remainder — the remainder's
-// predictions must be bit-identical to an uninterrupted run, at several
-// shard counts. Verified the same three ways as the v1 parity test:
-// tallies, offline WarmBank replay, and final drained state bytes.
-func TestKillAndRestoreParityDeltaChain(t *testing.T) {
-	evs, _ := capturedStream(t)
-	cut := len(evs) * 2 / 3
-	const segs = 4 // one full + three deltas before the kill
-
-	for _, shards := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			dir := t.TempDir()
-
-			// Uninterrupted reference run, final state checkpointed at exit.
-			refFinalDir := t.TempDir()
-			ref, err := New(Config{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.Start("127.0.0.1:0", ""); err != nil {
-				t.Fatal(err)
-			}
-			full := driveAll(t, ref, evs, 2)
-			refFinal, err := ref.Shutdown(refFinalDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Interrupted delta-mode run: drive in segments, checkpoint
-			// after each, kill after the last.
-			a, err := New(Config{Shards: shards, DeltaCheckpoints: true, FullEvery: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := a.Start("127.0.0.1:0", ""); err != nil {
-				t.Fatal(err)
-			}
-			var prefixCorrect []uint64
-			var infos []CheckpointInfo
-			for si := 0; si < segs; si++ {
-				lo, hi := cut*si/segs, cut*(si+1)/segs
-				res := driveAll(t, a, evs[lo:hi], 2)
-				if prefixCorrect == nil {
-					prefixCorrect = make([]uint64, len(res.Correct))
-				}
-				for i, c := range res.Correct {
-					prefixCorrect[i] += c
-				}
-				info, err := a.WriteCheckpoint(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				infos = append(infos, info)
-			}
-			if infos[0].Kind != "full" || infos[0].Depth != 0 || infos[0].ParentID != "" {
-				t.Fatalf("first checkpoint is not a chain root: %+v", infos[0])
-			}
-			for i := 1; i < segs; i++ {
-				if infos[i].Kind != "delta" || infos[i].Depth != i || infos[i].ParentID != infos[i-1].ID {
-					t.Fatalf("checkpoint %d does not extend the chain: %+v (parent %+v)", i, infos[i], infos[i-1])
-				}
-			}
-			st := a.Stats()
-			if st.Checkpoints.Full != 1 || st.Checkpoints.Deltas != segs-1 || st.Checkpoints.ChainDepth != segs-1 {
-				t.Fatalf("stats checkpoint block = %+v", st.Checkpoints)
-			}
-			if err := a.Close(); err != nil { // the "kill": no graceful checkpoint
-				t.Fatal(err)
-			}
-
-			// Restart from the newest checkpoint, resolving its chain.
-			latest, err := snapshot.LatestAny(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if latest != infos[segs-1].Path {
-				t.Fatalf("LatestAny = %s, want tip %s", latest, infos[segs-1].Path)
-			}
-			snap, chain, err := snapshot.ResolveChain(latest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if chain.Depth != segs-1 || len(chain.Files) != segs {
-				t.Fatalf("chain depth %d over %d files, want %d over %d", chain.Depth, len(chain.Files), segs-1, segs)
-			}
-			if snap.Meta.Events != uint64(cut) {
-				t.Fatalf("resolved chain carries %d events, want %d", snap.Meta.Events, cut)
-			}
-			b, err := New(Config{Shards: shards, DeltaCheckpoints: true, FullEvery: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Restore(snap); err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Start("127.0.0.1:0", ""); err != nil {
-				t.Fatal(err)
-			}
-			suffix := driveAll(t, b, evs[cut:], 2)
-			if suffix.ServerPriorEvents != uint64(cut) {
-				t.Fatalf("restored server reported %d prior events, want %d", suffix.ServerPriorEvents, cut)
-			}
-
-			// 1. prefix + suffix must equal the uninterrupted tallies.
-			for i, name := range full.Predictors {
-				if got, want := prefixCorrect[i]+suffix.Correct[i], full.Correct[i]; got != want {
-					t.Errorf("%s: interrupted %d correct, uninterrupted %d", name, got, want)
-				}
-			}
-
-			// 2. The offline warm bank must reproduce the suffix exactly.
-			warm, err := NewWarmBank(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			warm.StepBatch(evs[cut:])
-			if !reflect.DeepEqual(warm.Correct(), suffix.Correct) {
-				t.Errorf("warm bank replay %v, restored server %v", warm.Correct(), suffix.Correct)
-			}
-
-			// 3. The restored server's final drained state must be
-			// byte-identical to the uninterrupted server's. Both finals go
-			// through ResolveChain, which reads either generation.
-			bFinalDir := t.TempDir()
-			bFinal, err := b.Shutdown(bFinalDir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refSnap, _, err := snapshot.ResolveChain(refFinal.Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bSnap, _, err := snapshot.ResolveChain(bFinal.Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(refSnap.Shards, bSnap.Shards) {
-				t.Error("final predictor state differs between interrupted and uninterrupted runs")
-			}
-			if refSnap.Meta.Events != bSnap.Meta.Events || bSnap.Meta.Events != uint64(len(evs)) {
-				t.Errorf("final events %d vs %d, want %d", refSnap.Meta.Events, bSnap.Meta.Events, len(evs))
-			}
-		})
-	}
-}
+// TestKillAndRestoreParityDeltaChain is TestKillAndRestoreParity with a
+// root then three deltas cut before the kill, so restore resolves a
+// depth-3 chain.
+func TestKillAndRestoreParityDeltaChain(t *testing.T) { killRestoreParity(t, 4) }
 
 // TestDeltaCheckpointCleanChunkSkip pins the mechanism the format exists
 // for: after a full checkpoint, traffic touching a single PC must yield
@@ -181,7 +37,7 @@ func TestKillAndRestoreParityDeltaChain(t *testing.T) {
 func TestDeltaCheckpointCleanChunkSkip(t *testing.T) {
 	evs, _ := capturedStream(t)
 	dir := t.TempDir()
-	s, err := New(Config{Shards: 2, DeltaCheckpoints: true, CheckpointDir: dir})
+	s, err := New(Config{Shards: 2, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,4 +128,74 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return fi.Size()
+}
+
+// TestLegacySnapshotRestoreCutsRoot: a server restored from a legacy
+// .vpsnap (the committed fixture, written by the retired full-snapshot
+// encoder) starts its own chain — the first cut is a .vpdelta root of
+// exactly the restored state, which sweeps the legacy file — and keeps
+// chaining deltas from there.
+func TestLegacySnapshotRestoreCutsRoot(t *testing.T) {
+	raw, err := os.ReadFile("../snapshot/testdata/legacy.vpsnap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	legacy, err := snapshot.DecodeBytes(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacyPath := filepath.Join(dir, fmt.Sprintf("snap-%020d-%020d-%s%s",
+		legacy.Meta.Events, legacy.Meta.CreatedUnixNano, legacy.Meta.ID, snapshot.Ext))
+	if err := os.WriteFile(legacyPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	latest, err := snapshot.LatestAny(dir)
+	if err != nil || latest != legacyPath {
+		t.Fatalf("LatestAny = %s, %v; want %s", latest, err, legacyPath)
+	}
+	snap, _, err := snapshot.ResolveChain(latest)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Shards: snap.Meta.Shards, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start("127.0.0.1:0", ""); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	root, err := s.WriteCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.Kind != "full" || root.Depth != 0 || root.ParentID != "" ||
+		filepath.Ext(root.Path) != snapshot.DeltaExt || root.Events != legacy.Meta.Events {
+		t.Fatalf("first cut after a legacy restore = %+v, want a .vpdelta root of %d events", root, legacy.Meta.Events)
+	}
+	rootSnap, _, err := snapshot.ResolveChain(root.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rootSnap.Shards, legacy.Shards) {
+		t.Error("root state differs from the restored legacy snapshot")
+	}
+	if files := checkpointFiles(t, dir); len(files) != 1 || files[0] != root.Path {
+		t.Fatalf("after the root, dir holds %v, want only %s", files, root.Path)
+	}
+
+	evs, _ := capturedStream(t)
+	driveAll(t, s, evs[:2000], 1)
+	delta, err := s.WriteCheckpoint(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta.Kind != "delta" || delta.ParentID != root.ID || delta.Depth != 1 {
+		t.Fatalf("second cut = %+v, want a delta on %s", delta, root.ID)
+	}
 }

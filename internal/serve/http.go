@@ -42,8 +42,7 @@ import (
 //	                per-class event tallies and per-predictor ceiling gaps
 //	POST /snapshot  write a checkpoint now (requires a configured
 //	                checkpoint directory); answers with CheckpointInfo.
-//	                ?full=1 forces a full cut even in delta mode,
-//	                rooting a fresh chain
+//	                ?full=1 forces a full cut, rooting a fresh chain
 //	/debug/pprof/*  the standard runtime profiles
 func (s *Server) httpHandler() http.Handler {
 	mux := http.NewServeMux()

@@ -129,7 +129,7 @@ func newServerMetrics(start time.Time, nshards int, predNames []string) *serverM
 		ckptLastBytes: r.Gauge("vp_checkpoint_last_bytes", "size of the most recent checkpoint"),
 		ckptLastUnix:  r.Gauge("vp_checkpoint_last_unixnano", "wall time of the most recent checkpoint"),
 		ckptChunksWritten: r.Counter("vp_checkpoint_chunks_written_total",
-			"state chunks stored inline in delta-mode checkpoints"),
+			"state chunks stored inline in checkpoints"),
 		ckptChunksDeduped: r.Counter("vp_checkpoint_chunks_deduped_total",
 			"state chunks stored as content-hash references (clean-skipped or dedup hits)"),
 		ckptDedupRatio: r.FloatGauge("vp_checkpoint_dedupe_ratio",

@@ -31,7 +31,9 @@ import (
 //	v2: adds eventsT — an events frame prefixed by a 17-byte trace
 //	    header (8-byte LE trace id, 8-byte LE span id, 1 flags byte).
 //	    v1 frames remain valid and are served as untraced; v1 clients
-//	    reject a v2 hello, which is the intended "upgrade me" signal.
+//	    reject a v2 hello, which is the intended "upgrade me" signal,
+//	    and v2 clients reject a v1 hello, since a v1 server cannot
+//	    parse the eventsT frames they may send.
 const (
 	protoVersion = 2
 
@@ -122,10 +124,8 @@ func decodeHello(p []byte) (shards int, priorEvents uint64, preds []string, err 
 	if len(p) < 1 {
 		return 0, 0, nil, io.ErrUnexpectedEOF
 	}
-	// v1 servers are still speakable-to: they just never see traced
-	// frames, because a client keys SendTraced availability off this.
-	if p[0] != 1 && p[0] != protoVersion {
-		return 0, 0, nil, fmt.Errorf("serve: protocol version %d, want 1..%d", p[0], protoVersion)
+	if p[0] != protoVersion {
+		return 0, 0, nil, fmt.Errorf("serve: protocol version %d, want %d", p[0], protoVersion)
 	}
 	p = p[1:]
 	ns, p, err := uvarint(p)

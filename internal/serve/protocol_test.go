@@ -88,23 +88,19 @@ func TestDecodeTraceHeaderMalformed(t *testing.T) {
 	}
 }
 
-func TestHelloAcceptsBothVersions(t *testing.T) {
-	// A v1 hello (old server) must still decode on a new client.
+func TestHelloRejectsV1(t *testing.T) {
+	// A client speaks only protoVersion: a v1 server would reject the
+	// traced frames SendTraced sends, so its hello fails the connect.
 	buf := appendHello(nil, 3, 9, []string{"l"})
-	v1 := append([]byte{}, buf[1:]...)
-	v1[0] = 1
-	shards, prior, preds, err := decodeHello(v1)
-	if err != nil {
-		t.Fatalf("v1 hello rejected: %v", err)
+	for _, version := range []byte{1, 9} {
+		hello := append([]byte{}, buf[1:]...)
+		hello[0] = version
+		if _, _, _, err := decodeHello(hello); err == nil {
+			t.Fatalf("protocol version %d hello accepted", version)
+		}
 	}
-	if shards != 3 || prior != 9 || len(preds) != 1 {
-		t.Fatalf("v1 hello decoded wrong: %d %d %v", shards, prior, preds)
-	}
-	// Unknown future version still rejected.
-	v9 := append([]byte{}, buf[1:]...)
-	v9[0] = 9
-	if _, _, _, err := decodeHello(v9); err == nil {
-		t.Fatal("future protocol version accepted")
+	if _, _, _, err := decodeHello(buf[1:]); err != nil {
+		t.Fatalf("current-version hello rejected: %v", err)
 	}
 }
 

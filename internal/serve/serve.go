@@ -85,17 +85,13 @@ type Config struct {
 	MailboxDepth int
 	// CheckpointDir, when set, enables the HTTP POST /snapshot trigger
 	// and is the default directory for WriteCheckpoint / Shutdown
-	// checkpoints.
+	// checkpoints. Checkpoints form a .vpdelta chain: each cut writes
+	// only the state chunks that changed since the chain tip (everything
+	// else dedups to content-hash references), and restore resolves the
+	// chain back into one snapshot.
 	CheckpointDir string
-	// DeltaCheckpoints switches checkpoints to the v2 incremental format:
-	// the banks track per-PC dirty bits, each cut writes only the state
-	// chunks that changed since the chain tip (everything else dedups to
-	// content-hash references), and restore resolves full + deltas back
-	// into one snapshot.
-	DeltaCheckpoints bool
-	// FullEvery bounds a delta chain: after this many delta checkpoints
-	// the next cut is forced full, and older chain files are swept
-	// (0 = 8). Only meaningful with DeltaCheckpoints.
+	// FullEvery bounds a chain: after this many delta checkpoints the
+	// next cut is a fresh root, and older chain files are swept (0 = 8).
 	FullEvery int
 	// HealthCheckpointDeadline is how long a checkpoint cut may stay in
 	// flight before /healthz reports degraded (0 = 30s).
@@ -182,8 +178,8 @@ type Server struct {
 	// shutdown may race, and the delta chain state must advance one
 	// checkpoint at a time.
 	ckptMu sync.Mutex
-	// chain is the live delta-chain state (delta mode only); mutated only
-	// under ckptMu.
+	// chain is the live checkpoint-chain state; mutated only under
+	// ckptMu.
 	chain chainState
 
 	// restoredID / restoredAt identify the snapshot this server was
@@ -281,10 +277,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	for i := range s.shards {
 		s.shards[i] = newShard(i, cfg.Predictors, cfg.MailboxDepth)
-		if cfg.DeltaCheckpoints {
-			s.shards[i].dirtyTrack = true
-			s.shards[i].bank.SetDirtyTracking(true)
-		}
 		s.shards[i].met = s.metrics.shards[i]
 		s.shards[i].ring = s.ring
 		s.shards[i].tracer = s.tracer

@@ -69,7 +69,7 @@ type shardMsg struct {
 	req    *pending
 	snap   chan<- ShardStats       // non-nil = stats request
 	state  chan<- shardStateMsg    // non-nil = checkpoint capture request
-	plan   *deltaPlan              // with state: delta-mode capture directive
+	plan   *deltaPlan              // with state: the capture directive
 	pstat  chan<- *predstat.Report // non-nil = predictability report request
 	pstatN int                     // ranking size for pstat requests
 	// ctx and sentNs carry the request's trace identity into the shard:
@@ -79,12 +79,10 @@ type shardMsg struct {
 	sentNs int64
 }
 
-// shardStateMsg is one shard's reply to a checkpoint capture: st for a
-// v1 full capture, delta for a delta-mode (chunked) capture.
+// shardStateMsg is one shard's reply to a checkpoint capture.
 type shardStateMsg struct {
-	st    snapshot.ShardState
-	delta *deltaShardState
-	err   error
+	st  *deltaShardState
+	err error
 }
 
 // shard owns one partition of predictor state. All access happens on the
@@ -121,10 +119,6 @@ type shard struct {
 	// tracer receives this shard's request spans on lane id (single
 	// writer: the shard goroutine).
 	tracer *otrace.Recorder
-	// dirtyTrack mirrors Config.DeltaCheckpoints: the bank stamps per-PC
-	// dirty bits for chunk-granular delta captures, re-enabled whenever
-	// the bank is rebuilt (restore).
-	dirtyTrack bool
 }
 
 func newShard(id int, facs []core.NamedFactory, depth int) *shard {
@@ -143,6 +137,9 @@ func newShard(id int, facs []core.NamedFactory, depth int) *shard {
 		sh.preds[i] = f.New()
 	}
 	sh.bank = core.NewBank(sh.preds...)
+	// Per-PC dirty bits let every cut after a chain root store only the
+	// chunks its PCs dirtied.
+	sh.bank.SetDirtyTracking(true)
 	return sh
 }
 
@@ -160,11 +157,7 @@ func (sh *shard) run() {
 			continue
 		}
 		if msg.state != nil {
-			if msg.plan != nil {
-				msg.state <- sh.captureDelta(msg.plan)
-			} else {
-				msg.state <- sh.captureState()
-			}
+			msg.state <- sh.capture(msg.plan)
 			continue
 		}
 		if msg.pstat != nil {
@@ -299,37 +292,6 @@ func (sh *shard) snapshot() ShardStats {
 	return st
 }
 
-// captureState serializes the shard's full predictor state for a
-// checkpoint; called on the shard goroutine, so it never races live
-// traffic. The mailbox is FIFO, which is what "drain" means here: every
-// sub-batch mailed before the capture request has been applied, and none
-// mailed after it is visible.
-func (sh *shard) captureState() shardStateMsg {
-	st := snapshot.ShardState{
-		Shard:  sh.id,
-		Events: sh.events,
-		PCs:    sh.pcs.AppendSorted(make([]uint64, 0, sh.pcs.Len())),
-		Preds:  make([]snapshot.PredState, len(sh.preds)),
-	}
-	for i, p := range sh.preds {
-		stateful, ok := p.(core.Stateful)
-		if !ok {
-			return shardStateMsg{err: fmt.Errorf("serve: predictor %q does not implement core.Stateful", sh.names[i])}
-		}
-		var buf bytes.Buffer
-		if err := stateful.SaveState(&buf); err != nil {
-			return shardStateMsg{err: fmt.Errorf("serve: shard %d: %w", sh.id, err)}
-		}
-		st.Preds[i] = snapshot.PredState{
-			Name:    sh.names[i],
-			Correct: sh.acc[i].Correct,
-			Total:   sh.acc[i].Total,
-			State:   buf.Bytes(),
-		}
-	}
-	return shardStateMsg{st: st}
-}
-
 // restore replaces the shard's state from a decoded snapshot section.
 // Only legal before the shard goroutine starts. Fresh predictor
 // instances are built first, so a failed load leaves the shard's
@@ -359,9 +321,7 @@ func (sh *shard) restore(st snapshot.ShardState, facs []core.NamedFactory, nshar
 	}
 	sh.preds, sh.acc, sh.pcs, sh.events = preds, acc, pcs, st.Events
 	sh.bank = core.NewBank(preds...)
-	if sh.dirtyTrack {
-		sh.bank.SetDirtyTracking(true)
-	}
+	sh.bank.SetDirtyTracking(true)
 	sh.ewmaReady = false // the EWMA reseeds from live traffic, not history
 	if sh.pstat != nil {
 		// Predictability estimates describe observed live traffic, which a
@@ -428,12 +388,12 @@ type CkptStats struct {
 	Errors       uint64 `json:"errors"`
 	LastBytes    int64  `json:"last_bytes,omitempty"`
 	LastUnixNano int64  `json:"last_unixnano,omitempty"`
-	// Full and Deltas split Count by checkpoint kind (delta mode only —
-	// v1 checkpoints all count as full).
+	// Full and Deltas split Count by checkpoint kind: chain roots and
+	// later links.
 	Full   uint64 `json:"full"`
 	Deltas uint64 `json:"deltas"`
-	// ChainDepth is the live chain's delta links past its full root (0
-	// right after a full).
+	// ChainDepth is the live chain's delta links past its root (0 right
+	// after a root).
 	ChainDepth int64 `json:"chain_depth"`
 	// ChunksWritten / ChunksDeduped count chunks stored inline versus
 	// stored as content-hash references, over the server's lifetime;

@@ -33,7 +33,7 @@ func TestTracedUntracedParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap, err := snapshot.ReadFile(ck.Path)
+		snap, _, err := snapshot.ResolveChain(ck.Path)
 		if err != nil {
 			t.Fatal(err)
 		}

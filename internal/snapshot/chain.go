@@ -17,22 +17,21 @@ import (
 
 // ChainInfo describes how a checkpoint was materialized.
 type ChainInfo struct {
-	// Files is the resolved chain, root (full) first, tip last. A v1
-	// snapshot or a full v2 checkpoint is a single-element chain.
+	// Files is the resolved chain, root (full) first, tip last. A legacy
+	// .vpsnap snapshot or a chain root is a single-element chain.
 	Files []string
 	// Depth is the number of delta links in the chain (0 for a full).
 	Depth int
-	// Tip is the decoded tip manifest; nil when the tip was a v1 file.
+	// Tip is the decoded tip manifest; nil for a legacy .vpsnap file.
 	Tip *Delta
 }
 
 // ResolveChain reads the checkpoint at path and materializes its full
-// state. A .vpsnap file is returned as-is; a .vpdelta file has its chain
-// walked (parents are located by content ID in the same directory) and
-// its predictor state blobs reassembled from inline and referenced
-// chunks. The returned Snapshot is exactly what a v1 decode of the same
-// logical state would produce, so every consumer of full snapshots
-// (restore, warm replay, vpstate) works on chains unchanged.
+// state. A .vpdelta file has its chain walked (parents are located by
+// content ID in the same directory) and its predictor state blobs
+// reassembled from inline and referenced chunks; a legacy .vpsnap file
+// is decoded as-is. Both yield the same Snapshot for the same logical
+// state, which is all restore, warm replay and vpstate consume.
 func ResolveChain(path string) (*Snapshot, *ChainInfo, error) {
 	if strings.HasSuffix(path, Ext) {
 		s, err := ReadFile(path)

@@ -1,7 +1,9 @@
 package snapshot
 
-// Delta (v2) snapshot container: an incremental checkpoint whose
-// predictor state arrives as content-addressed chunks. Each chunk is an
+// Delta (v2) snapshot container, the only checkpoint format written: an
+// incremental checkpoint whose predictor state arrives as
+// content-addressed chunks. A chain root (depth 0, no parent) holds every
+// chunk inline; it is what a "full" checkpoint is. Each chunk is an
 // exact byte range of the predictor's canonical SaveState stream (split
 // at per-PC record boundaries by internal/core's chunked save), named by
 // the truncated SHA-256 of its bytes and carrying its own CRC-64. A
@@ -9,7 +11,7 @@ package snapshot
 // ancestor checkpoint in the same chain, so regions that did not change
 // between cuts — or that are identical across shards — are stored once.
 //
-// On-disk layout mirrors the v1 container:
+// On-disk layout mirrors the legacy VPSNAP01 container:
 //
 //	8 bytes   magic "VPDELT01"
 //	payload   varint-packed sections (below)
@@ -192,10 +194,9 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // content-addressed ID. The write is io.Writer-driven with bounded
 // scratch: sections are varint-packed into a small reused buffer and
 // chunk bytes pass straight from their slices, so no full file image is
-// ever materialized. Like v1's Encode, input is validated rather than
-// repaired: shard sections must be ordered and gap-free, PCs strictly
-// ascending, names consistent, and every inline chunk's length must
-// match its data.
+// ever materialized. Input is validated rather than repaired: shard
+// sections must be ordered and gap-free, PCs strictly ascending, names
+// consistent, and every inline chunk's length must match its data.
 func EncodeDelta(w io.Writer, d *Delta) (string, error) {
 	if len(d.Shards) == 0 || len(d.Shards) > maxShards {
 		return "", fmt.Errorf("snapshot: invalid shard count %d", len(d.Shards))

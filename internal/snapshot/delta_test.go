@@ -373,12 +373,8 @@ func TestLatestAnyAndSweepSuperseded(t *testing.T) {
 		t.Fatalf("LatestAny on empty dir = %v, want fs.ErrNotExist", err)
 	}
 
-	// A v1 snapshot at 1250 events, then a v2 chain reaching 1750.
-	v1 := sample()
-	v1Path, err := WriteFileAtomic(dir, v1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// A legacy snapshot at 240 events, then a chain reaching 1750.
+	v1Path, _ := placeLegacy(t, dir)
 	full := sampleFull()
 	fullPath, err := WriteDeltaFileAtomic(dir, full)
 	if err != nil {

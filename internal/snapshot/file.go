@@ -6,20 +6,19 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
-// Ext is the snapshot file extension.
+// Ext is the legacy VPSNAP01 snapshot file extension (read-only).
 const Ext = ".vpsnap"
 
-// DeltaExt is the v2 (delta-chain) checkpoint file extension. Full
-// checkpoints cut in delta mode use it too: they are v2 files with an
-// empty parent ID.
+// DeltaExt is the checkpoint file extension. A full checkpoint is a
+// chain root: a .vpdelta file with an empty parent ID.
 const DeltaExt = ".vpdelta"
 
-// tmpPattern / deltaTmpPattern name in-progress checkpoint files;
-// SweepTemp removes strays a crashed writer left behind.
+// deltaTmpPattern names in-progress checkpoint files; tmpPattern is the
+// legacy writer's. SweepTemp removes strays a crashed writer of either
+// left behind.
 const (
 	tmpPattern      = ".vpsnap-tmp-*"
 	deltaTmpPattern = ".vpdelta-tmp-*"
@@ -29,7 +28,7 @@ const (
 // reports how many it deleted. A writer killed between CreateTemp and
 // rename leaves a near-full-size temp file nothing else cleans up, so a
 // server sweeps its checkpoint directory on startup. A checkpoint
-// directory belongs to one server at a time (Latest would conflate
+// directory belongs to one server at a time (LatestAny would conflate
 // several anyway), so any temp file found at startup is dead.
 func SweepTemp(dir string) (int, error) {
 	removed := 0
@@ -49,56 +48,6 @@ func SweepTemp(dir string) (int, error) {
 	return removed, nil
 }
 
-// Filename returns the canonical checkpoint file name for a snapshot:
-// event count then creation time, both zero-padded so lexicographic
-// order is checkpoint order (ties on events broken by wall clock), then
-// the content-addressed ID.
-func Filename(events uint64, createdUnixNano int64, id string) string {
-	return fmt.Sprintf("snap-%020d-%020d-%s%s", events, createdUnixNano, id, Ext)
-}
-
-// WriteFileAtomic encodes the snapshot into dir under its canonical name
-// using the temp-file-plus-rename protocol: a reader (or a crashed
-// writer) can never observe a partial snapshot. The file is fsynced
-// before the rename and the directory after it, so a completed write
-// also survives power loss.
-func WriteFileAtomic(dir string, s *Snapshot) (path string, err error) {
-	f, err := os.CreateTemp(dir, tmpPattern)
-	if err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	bw := bufio.NewWriterSize(f, 1<<20)
-	id, err := Encode(bw, s)
-	if err != nil {
-		return "", err
-	}
-	if err = bw.Flush(); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	if err = f.Sync(); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	if err = f.Close(); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	path = filepath.Join(dir, Filename(s.Meta.Events, s.Meta.CreatedUnixNano, id))
-	if err = os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	if err = syncDir(dir); err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	return path, nil
-}
-
 // syncDir flushes the directory entry so the rename itself survives a
 // crash, not just the file contents.
 func syncDir(dir string) error {
@@ -113,7 +62,7 @@ func syncDir(dir string) error {
 	return syncErr
 }
 
-// ReadFile decodes and verifies one snapshot file.
+// ReadFile decodes and verifies one legacy VPSNAP01 snapshot file.
 func ReadFile(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -126,31 +75,11 @@ func ReadFile(path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// Latest returns the newest checkpoint file in dir, by the canonical
-// name ordering (event count, then ID). fs.ErrNotExist is returned when
-// the directory holds no snapshots.
-func Latest(dir string) (string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return "", fmt.Errorf("snapshot: %w", err)
-	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() && strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, Ext) {
-			names = append(names, name)
-		}
-	}
-	if len(names) == 0 {
-		return "", fmt.Errorf("snapshot: no %s files in %s: %w", Ext, dir, fs.ErrNotExist)
-	}
-	sort.Strings(names)
-	return filepath.Join(dir, names[len(names)-1]), nil
-}
-
-// DeltaFilename returns the canonical file name for a v2 checkpoint:
-// the same events-then-time-then-ID scheme as Filename, so lexicographic
-// order within each extension is checkpoint order.
+// DeltaFilename returns the canonical file name for a checkpoint: event
+// count then creation time, both zero-padded so lexicographic order is
+// checkpoint order (ties on events broken by wall clock), then the
+// content-addressed ID. Legacy .vpsnap files follow the same scheme
+// under the "snap-" prefix.
 func DeltaFilename(events uint64, createdUnixNano int64, id string) string {
 	return fmt.Sprintf("delta-%020d-%020d-%s%s", events, createdUnixNano, id, DeltaExt)
 }
@@ -182,10 +111,10 @@ func parseCkptName(name string) (events uint64, createdUnixNano int64, id string
 }
 
 // LatestAny returns the newest checkpoint file in dir across both
-// generations (.vpsnap and .vpdelta), ordered by event count then
+// generations (.vpdelta and legacy .vpsnap), ordered by event count then
 // creation time parsed from the canonical names — a mixed directory
-// (e.g. a server upgraded to delta mode over existing full snapshots)
-// restores from whichever checkpoint is furthest along. fs.ErrNotExist
+// (a server upgraded over existing legacy snapshots) restores from
+// whichever checkpoint is furthest along. fs.ErrNotExist
 // is returned when the directory holds no checkpoints.
 func LatestAny(dir string) (string, error) {
 	entries, err := os.ReadDir(dir)
@@ -235,9 +164,11 @@ func FindByID(dir, id string) (string, error) {
 	return "", fmt.Errorf("snapshot: no checkpoint with id %s in %s: %w", id, dir, fs.ErrNotExist)
 }
 
-// WriteDeltaFileAtomic encodes a v2 checkpoint into dir under its
-// canonical name with the same temp-file, fsync, rename, dir-sync
-// protocol as WriteFileAtomic.
+// WriteDeltaFileAtomic encodes a checkpoint into dir under its canonical
+// name using the temp-file-plus-rename protocol: a reader (or a crashed
+// writer) can never observe a partial checkpoint. The file is fsynced
+// before the rename and the directory after it, so a completed write
+// also survives power loss.
 func WriteDeltaFileAtomic(dir string, d *Delta) (path string, err error) {
 	f, err := os.CreateTemp(dir, deltaTmpPattern)
 	if err != nil {
@@ -290,8 +221,9 @@ func ReadDeltaFile(path string) (*Delta, error) {
 
 // SweepSuperseded removes checkpoint files of either generation whose
 // event count is at or below events, keeping keepPath itself — the chunk
-// GC a server runs after a successful full checkpoint, when every older
-// chain (and any chunk only reachable through it) is superseded. Returns
+// GC a server runs after a successful chain root, when every older
+// chain (and any chunk only reachable through it, and any legacy
+// snapshot it was restored from) is superseded. Returns
 // how many files were removed.
 func SweepSuperseded(dir, keepPath string, events uint64) (int, error) {
 	entries, err := os.ReadDir(dir)

@@ -3,7 +3,9 @@ package snapshot
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
+	"os"
 	"reflect"
 	"testing"
 
@@ -120,10 +122,11 @@ func trainedStateSeed(events int) []byte {
 	return b
 }
 
-// FuzzSnapshotRoundTrip: any structurally valid snapshot must encode,
-// decode to an equal value, and re-encode byte-identically; every State
-// blob the matching predictor's LoadState accepts must restore to a state
-// whose save is a canonical fixed point.
+// FuzzSnapshotRoundTrip: any structurally valid snapshot, laid out as a
+// chain root and written as a .vpdelta file, must resolve back to an
+// equal value and re-encode canonically; every State blob the matching
+// predictor's LoadState accepts must restore to a state whose save is a
+// canonical fixed point.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 2, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
@@ -135,44 +138,48 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add(trainedStateSeed(400))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := snapshotFromBytes(data)
-		var buf bytes.Buffer
-		id, err := Encode(&buf, in)
+		root := rootOf(in)
+		path, err := WriteDeltaFileAtomic(t.TempDir(), root)
 		if err != nil {
-			t.Fatalf("Encode of valid snapshot: %v", err)
+			t.Fatalf("writing the root of a valid snapshot: %v", err)
 		}
-		out, err := Decode(bytes.NewReader(buf.Bytes()))
+		out, info, err := ResolveChain(path)
 		if err != nil {
-			t.Fatalf("Decode of just-encoded snapshot: %v", err)
+			t.Fatalf("resolving a just-written root: %v", err)
 		}
-		if out.Meta.ID != id || out.Meta.Events != in.Meta.Events {
-			t.Fatalf("meta mismatch: %+v vs %+v", out.Meta, in.Meta)
+		var events uint64
+		for _, sh := range in.Shards {
+			events += sh.Events
+		}
+		if info.Depth != 0 || len(info.Files) != 1 || out.Meta.ID != root.Meta.ID ||
+			out.Meta.Events != events || out.Meta.Shards != len(in.Shards) {
+			t.Fatalf("meta mismatch: %+v (chain %+v), want %d events over %d shards",
+				out.Meta, info, events, len(in.Shards))
 		}
 		for si := range out.Shards {
 			for pi := range out.Shards[si].Preds {
 				checkPredStateLoad(t, &out.Shards[si].Preds[pi])
 			}
 		}
-		// nil-vs-empty blobs are indistinguishable on the wire.
-		for si := range in.Shards {
-			for pi := range in.Shards[si].Preds {
-				if len(in.Shards[si].Preds[pi].State) == 0 {
-					in.Shards[si].Preds[pi].State = nil
-				}
-				if len(out.Shards[si].Preds[pi].State) == 0 {
-					out.Shards[si].Preds[pi].State = nil
+		// nil-vs-empty blobs are indistinguishable on disk.
+		for _, s := range []*Snapshot{in, out} {
+			for si := range s.Shards {
+				for pi := range s.Shards[si].Preds {
+					if len(s.Shards[si].Preds[pi].State) == 0 {
+						s.Shards[si].Preds[pi].State = nil
+					}
 				}
 			}
 		}
 		if !reflect.DeepEqual(in.Shards, out.Shards) {
 			t.Fatalf("shards differ:\n in  %+v\n out %+v", in.Shards, out.Shards)
 		}
-		var buf2 bytes.Buffer
-		id2, err := Encode(&buf2, out)
+		d, err := ReadDeltaFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id2 != id || !bytes.Equal(buf2.Bytes(), buf.Bytes()) {
-			t.Fatal("re-encode not canonical")
+		if id, err := EncodeDelta(io.Discard, d); err != nil || id != root.Meta.ID {
+			t.Fatalf("re-encode not canonical: id %s (want %s), %v", id, root.Meta.ID, err)
 		}
 	})
 }
@@ -212,23 +219,23 @@ func checkPredStateLoad(t *testing.T, ps *PredState) {
 }
 
 // FuzzSnapshotDecodeRobustness: arbitrary bytes must never panic the
-// decoder or make it allocate past the input it was handed.
+// legacy decoder or make it allocate past the input it was handed.
 func FuzzSnapshotDecodeRobustness(f *testing.F) {
-	var valid bytes.Buffer
-	s := snapshotFromBytes([]byte{2, 2, 1, 2, 3, 4, 9, 9, 9, 9, 9, 9, 9, 9})
-	if _, err := Encode(&valid, s); err != nil {
+	legacy, err := os.ReadFile(legacyFixture)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid.Bytes())
+	f.Add(legacy)
 	f.Add([]byte(Magic))
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeBytes(data)
 		if err == nil {
-			// Anything accepted must re-encode cleanly (it passed CRC and
-			// all structural checks, so it is a genuine snapshot image).
-			if _, err := Encode(&bytes.Buffer{}, snap); err != nil {
-				t.Fatalf("accepted snapshot fails re-encode: %v", err)
+			// Anything accepted passed the CRC and every structural check,
+			// so it is a genuine snapshot image: it must lay out as a
+			// chain root the checkpoint encoder accepts.
+			if _, err := EncodeDelta(io.Discard, rootOf(snap)); err != nil {
+				t.Fatalf("accepted snapshot does not encode as a root: %v", err)
 			}
 		}
 	})

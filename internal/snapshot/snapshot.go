@@ -1,7 +1,7 @@
-// Package snapshot is the durability layer for predictor state: a
-// versioned, checksummed, varint-packed binary codec for the full learned
-// state of a sharded predictor bank, plus atomic file helpers for
-// checkpoint directories.
+// Package snapshot is the durability layer for predictor state: the
+// checksummed, content-addressed .vpdelta checkpoint chain (delta.go,
+// chain.go) that a server writes, the Snapshot it resolves to, and
+// atomic file helpers for checkpoint directories.
 //
 // In the information-theoretic framing the reproduction follows (Bialek &
 // Tishby's predictive information), a predictor's tables are the
@@ -11,7 +11,13 @@
 // having stopped, which is what lets a restarted service skip the
 // cold-start learning period the paper's Table 1 and Figure 2 measure.
 //
-// On-disk layout:
+// A Snapshot is the materialized full state of a bank. Checkpoints are
+// written only as .vpdelta files; ResolveChain turns one back into a
+// Snapshot. The legacy VPSNAP01 full-snapshot file, the layout below,
+// is read-only: Decode and ReadFile open it so an old .vpsnap still
+// restores, and nothing writes it any more.
+//
+// Legacy VPSNAP01 layout:
 //
 //	8 bytes   magic "VPSNAP01"
 //	payload   varint-packed sections (below)
@@ -25,9 +31,8 @@
 // blob is private to the predictor type; this package only frames,
 // versions and checksums.
 //
-// A snapshot's ID is the hex CRC-64 of its payload — content-addressed,
-// so two snapshots of identical state (and creation time) share an ID and
-// any corruption changes it.
+// A legacy snapshot's ID is the hex CRC-64 of its payload —
+// content-addressed, so any corruption changes it.
 package snapshot
 
 import (
@@ -42,7 +47,8 @@ import (
 // generation and changes only on incompatible layout changes.
 const Magic = "VPSNAP01"
 
-// FormatVersion is the payload schema version written by Encode.
+// FormatVersion is the only VPSNAP01 payload schema version Decode
+// accepts.
 const FormatVersion = 1
 
 // Decoding limits: generous for real deployments, tight enough that a
@@ -64,8 +70,8 @@ var crcTable = crc64.MakeTable(crc64.ECMA)
 type Meta struct {
 	// FormatVersion is the payload schema version read from the file.
 	FormatVersion int
-	// ID is the content-addressed snapshot identifier (hex CRC-64 of the
-	// payload). Filled by Encode and Decode; ignored as input.
+	// ID is the content-addressed identifier of the checkpoint file the
+	// snapshot was read from.
 	ID string
 	// CreatedUnixNano is the checkpoint wall-clock time.
 	CreatedUnixNano int64
@@ -117,87 +123,6 @@ func (s *Snapshot) StateBytes() int {
 		}
 	}
 	return n
-}
-
-// Encode writes the snapshot and returns its content-addressed ID. The
-// output is canonical: Meta.Events and Meta.Shards are derived from the
-// shard sections, and shard sections must arrive ordered by shard id with
-// ascending PCs (Encode validates rather than silently reorders, since
-// out-of-order input indicates a bug in the capture path).
-func Encode(w io.Writer, s *Snapshot) (string, error) {
-	if len(s.Shards) == 0 || len(s.Shards) > maxShards {
-		return "", fmt.Errorf("snapshot: invalid shard count %d", len(s.Shards))
-	}
-	if len(s.Meta.Predictors) == 0 || len(s.Meta.Predictors) > maxPredictors {
-		return "", fmt.Errorf("snapshot: invalid predictor count %d", len(s.Meta.Predictors))
-	}
-
-	var b []byte
-	b = binary.AppendUvarint(b, FormatVersion)
-	b = binary.AppendUvarint(b, uint64(s.Meta.CreatedUnixNano))
-	var events uint64
-	for _, sh := range s.Shards {
-		events += sh.Events
-	}
-	b = binary.AppendUvarint(b, events)
-	b = binary.AppendUvarint(b, uint64(len(s.Shards)))
-	b = binary.AppendUvarint(b, uint64(len(s.Meta.Predictors)))
-	for _, name := range s.Meta.Predictors {
-		if len(name) == 0 || len(name) > maxNameLen {
-			return "", fmt.Errorf("snapshot: invalid predictor name %q", name)
-		}
-		b = binary.AppendUvarint(b, uint64(len(name)))
-		b = append(b, name...)
-	}
-	for i, sh := range s.Shards {
-		if sh.Shard != i {
-			return "", fmt.Errorf("snapshot: shard section %d has id %d (must be ordered, gap-free)", i, sh.Shard)
-		}
-		if len(sh.Preds) != len(s.Meta.Predictors) {
-			return "", fmt.Errorf("snapshot: shard %d has %d predictors, bank has %d",
-				i, len(sh.Preds), len(s.Meta.Predictors))
-		}
-		b = binary.AppendUvarint(b, uint64(sh.Shard))
-		b = binary.AppendUvarint(b, sh.Events)
-		b = binary.AppendUvarint(b, uint64(len(sh.PCs)))
-		var prev uint64
-		for j, pc := range sh.PCs {
-			if j > 0 && pc <= prev {
-				return "", fmt.Errorf("snapshot: shard %d PCs not strictly ascending", i)
-			}
-			b = binary.AppendUvarint(b, pc-prev)
-			prev = pc
-		}
-		for j, ps := range sh.Preds {
-			if ps.Name != s.Meta.Predictors[j] {
-				return "", fmt.Errorf("snapshot: shard %d predictor %d is %q, bank says %q",
-					i, j, ps.Name, s.Meta.Predictors[j])
-			}
-			b = binary.AppendUvarint(b, ps.Correct)
-			b = binary.AppendUvarint(b, ps.Total)
-			b = binary.AppendUvarint(b, uint64(len(ps.State)))
-			b = append(b, ps.State...)
-		}
-	}
-
-	crc := crc64.Checksum(b, crcTable)
-	id := fmt.Sprintf("%016x", crc)
-	if _, err := w.Write([]byte(Magic)); err != nil {
-		return "", err
-	}
-	if _, err := w.Write(b); err != nil {
-		return "", err
-	}
-	var trailer [8]byte
-	binary.LittleEndian.PutUint64(trailer[:], crc)
-	if _, err := w.Write(trailer[:]); err != nil {
-		return "", err
-	}
-	s.Meta.FormatVersion = FormatVersion
-	s.Meta.ID = id
-	s.Meta.Events = events
-	s.Meta.Shards = len(s.Shards)
-	return id, nil
 }
 
 // Decode reads and verifies one snapshot. Malformed input yields an

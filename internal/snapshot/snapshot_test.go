@@ -1,121 +1,28 @@
 package snapshot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc64"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-// sample builds a small two-shard snapshot with nontrivial content.
-func sample() *Snapshot {
-	return &Snapshot{
-		Meta: Meta{
-			CreatedUnixNano: 1_700_000_000_123_456_789,
-			Predictors:      []string{"l", "s2", "fcm3"},
-		},
-		Shards: []ShardState{
-			{
-				Shard:  0,
-				Events: 1000,
-				PCs:    []uint64{0x400, 0x404, 0x90000},
-				Preds: []PredState{
-					{Name: "l", Correct: 400, Total: 1000, State: []byte{1, 2, 3}},
-					{Name: "s2", Correct: 500, Total: 1000, State: []byte{}},
-					{Name: "fcm3", Correct: 700, Total: 1000, State: bytes.Repeat([]byte{0xAB}, 300)},
-				},
-			},
-			{
-				Shard:  1,
-				Events: 250,
-				PCs:    nil,
-				Preds: []PredState{
-					{Name: "l", Correct: 1, Total: 250, State: []byte{9}},
-					{Name: "s2", Correct: 2, Total: 250, State: []byte{0}},
-					{Name: "fcm3", Correct: 3, Total: 250, State: nil},
-				},
-			},
-		},
-	}
-}
-
-func encodeOK(t *testing.T, s *Snapshot) (string, []byte) {
+// legacyBytes is the raw legacy fixture image the decoder tests mutate.
+func legacyBytes(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	id, err := Encode(&buf, s)
+	data, err := os.ReadFile(legacyFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return id, buf.Bytes()
-}
-
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	s := sample()
-	id, data := encodeOK(t, s)
-	if s.Meta.Events != 1250 || s.Meta.Shards != 2 || s.Meta.ID != id {
-		t.Fatalf("Encode did not normalize meta: %+v", s.Meta)
-	}
-	got, err := Decode(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Meta.ID != id {
-		t.Fatalf("decoded ID %s, want %s", got.Meta.ID, id)
-	}
-	if got.Meta.FormatVersion != FormatVersion || got.Meta.Events != 1250 {
-		t.Fatalf("meta = %+v", got.Meta)
-	}
-	// Normalize nil-vs-empty before the deep compare: the wire format
-	// cannot distinguish them and neither do consumers.
-	want := sample()
-	_, _ = Encode(&bytes.Buffer{}, want)
-	for si := range want.Shards {
-		for pi := range want.Shards[si].Preds {
-			if len(want.Shards[si].Preds[pi].State) == 0 {
-				want.Shards[si].Preds[pi].State = nil
-			}
-			if len(got.Shards[si].Preds[pi].State) == 0 {
-				got.Shards[si].Preds[pi].State = nil
-			}
-		}
-	}
-	if !reflect.DeepEqual(got.Shards, want.Shards) {
-		t.Fatalf("shards differ:\n got %+v\nwant %+v", got.Shards, want.Shards)
-	}
-	// Canonical: re-encoding the decoded snapshot is byte-identical.
-	id2, data2 := encodeOK(t, got)
-	if id2 != id || !bytes.Equal(data2, data) {
-		t.Fatal("re-encode is not byte-identical")
-	}
-}
-
-func TestEncodeRejectsMalformedInput(t *testing.T) {
-	for name, mutate := range map[string]func(*Snapshot){
-		"no shards":          func(s *Snapshot) { s.Shards = nil },
-		"no predictors":      func(s *Snapshot) { s.Meta.Predictors = nil },
-		"shard id gap":       func(s *Snapshot) { s.Shards[1].Shard = 2 },
-		"pred count":         func(s *Snapshot) { s.Shards[0].Preds = s.Shards[0].Preds[:2] },
-		"pred name mismatch": func(s *Snapshot) { s.Shards[1].Preds[0].Name = "zzz" },
-		"unsorted pcs":       func(s *Snapshot) { s.Shards[0].PCs = []uint64{8, 4} },
-		"duplicate pcs":      func(s *Snapshot) { s.Shards[0].PCs = []uint64{4, 4} },
-		"empty pred name":    func(s *Snapshot) { s.Meta.Predictors[0] = "" },
-	} {
-		s := sample()
-		mutate(s)
-		if _, err := Encode(&bytes.Buffer{}, s); err == nil {
-			t.Errorf("%s: Encode accepted", name)
-		}
-	}
+	return data
 }
 
 func TestDecodeRejectsCorrupt(t *testing.T) {
-	_, data := encodeOK(t, sample())
+	data := legacyBytes(t)
 
 	t.Run("bad magic", func(t *testing.T) {
 		mut := append([]byte(nil), data...)
@@ -164,7 +71,7 @@ func rewrap(payload []byte) []byte {
 }
 
 func TestDecodeRejectsWrongVersion(t *testing.T) {
-	_, data := encodeOK(t, sample())
+	data := legacyBytes(t)
 	payload := append([]byte(nil), data[len(Magic):len(data)-8]...)
 	if payload[0] != FormatVersion {
 		t.Fatalf("version byte is %d, layout changed?", payload[0])
@@ -177,7 +84,7 @@ func TestDecodeRejectsWrongVersion(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncatedVarint(t *testing.T) {
-	_, data := encodeOK(t, sample())
+	data := legacyBytes(t)
 	payload := append([]byte(nil), data[len(Magic):len(data)-8]...)
 	// Cut the payload mid-structure but keep a valid checksum: the error
 	// must come from varint/structure parsing, proving decode does not
@@ -198,10 +105,10 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 	// must reject it without attempting the allocation.
 	var payload []byte
 	payload = binary.AppendUvarint(payload, FormatVersion)
-	payload = binary.AppendUvarint(payload, 0)          // created
-	payload = binary.AppendUvarint(payload, 0)          // events
-	payload = binary.AppendUvarint(payload, 1)          // shards
-	payload = binary.AppendUvarint(payload, 1<<40)      // predictors
+	payload = binary.AppendUvarint(payload, 0)     // created
+	payload = binary.AppendUvarint(payload, 0)     // events
+	payload = binary.AppendUvarint(payload, 1)     // shards
+	payload = binary.AppendUvarint(payload, 1<<40) // predictors
 	if _, err := DecodeBytes(rewrap(payload)); err == nil {
 		t.Fatal("absurd predictor count accepted")
 	}
@@ -224,37 +131,37 @@ func TestDecodeRejectsHostileCounts(t *testing.T) {
 
 func TestFileRoundTripAndLatest(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Latest(dir); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatalf("Latest on empty dir = %v, want fs.ErrNotExist", err)
+	if _, err := LatestAny(dir); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("LatestAny on empty dir = %v, want fs.ErrNotExist", err)
 	}
 
-	s1 := sample()
-	p1, err := WriteFileAtomic(dir, s1)
+	r1 := sampleFull()
+	p1, err := WriteDeltaFileAtomic(dir, r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2 := sample()
-	s2.Shards[0].Events += 500
-	s2.Shards[0].Preds[0].Correct += 123
-	p2, err := WriteFileAtomic(dir, s2)
+	r2 := sampleFull()
+	r2.Shards[0].Events += 500
+	r2.Shards[0].Preds[0].Correct += 123
+	p2, err := WriteDeltaFileAtomic(dir, r2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := ReadFile(p1)
+	got, err := ReadDeltaFile(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Meta.ID != s1.Meta.ID || got.Meta.Events != s1.Meta.Events {
-		t.Fatalf("read back %+v, want %+v", got.Meta, s1.Meta)
+	if got.Meta.ID != r1.Meta.ID || got.Meta.Events != r1.Meta.Events {
+		t.Fatalf("read back %+v, want %+v", got.Meta, r1.Meta)
 	}
 
-	latest, err := Latest(dir)
+	latest, err := LatestAny(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if latest != p2 {
-		t.Fatalf("Latest = %s, want %s", latest, p2)
+		t.Fatalf("LatestAny = %s, want %s", latest, p2)
 	}
 
 	// No temp files may survive a successful write.
@@ -263,41 +170,55 @@ func TestFileRoundTripAndLatest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), ".vpsnap-tmp-") {
+		if strings.HasPrefix(e.Name(), ".vpdelta-tmp-") {
 			t.Fatalf("leftover temp file %s", e.Name())
 		}
 	}
 
-	// SweepTemp removes orphaned in-progress files and nothing else.
-	stray := filepath.Join(dir, ".vpsnap-tmp-12345")
-	if err := os.WriteFile(stray, []byte("partial"), 0o600); err != nil {
-		t.Fatal(err)
+	// SweepTemp removes orphaned in-progress files of either writer and
+	// nothing else.
+	strays := []string{filepath.Join(dir, ".vpdelta-tmp-12345"), filepath.Join(dir, ".vpsnap-tmp-12345")}
+	for _, stray := range strays {
+		if err := os.WriteFile(stray, []byte("partial"), 0o600); err != nil {
+			t.Fatal(err)
+		}
 	}
 	removed, err := SweepTemp(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 {
-		t.Fatalf("SweepTemp removed %d files, want 1", removed)
+	if removed != len(strays) {
+		t.Fatalf("SweepTemp removed %d files, want %d", removed, len(strays))
 	}
-	if _, err := os.Stat(stray); !errors.Is(err, fs.ErrNotExist) {
-		t.Fatal("stray temp file survived the sweep")
+	for _, stray := range strays {
+		if _, err := os.Stat(stray); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("stray temp file %s survived the sweep", stray)
+		}
 	}
 	if _, err := os.Stat(p1); err != nil {
-		t.Fatalf("sweep touched a finished snapshot: %v", err)
+		t.Fatalf("sweep touched a finished checkpoint: %v", err)
 	}
 
-	// A corrupted file on disk is rejected with its path in the error.
-	raw, err := os.ReadFile(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	bad := filepath.Join(dir, "snap-99999999999999999999-corrupt.vpsnap")
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(bad); err == nil || !strings.Contains(err.Error(), bad) {
-		t.Fatalf("corrupt file read = %v, want error naming %s", err, bad)
+	// A corrupted file on disk is rejected with its path in the error, by
+	// the checkpoint reader and the legacy reader alike.
+	for _, tc := range []struct {
+		src, name string
+		read      func(string) error
+	}{
+		{p1, "delta-99999999999999999999-corrupt.vpdelta", func(p string) error { _, err := ReadDeltaFile(p); return err }},
+		{legacyFixture, "snap-99999999999999999999-corrupt.vpsnap", func(p string) error { _, err := ReadFile(p); return err }},
+	} {
+		raw, err := os.ReadFile(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/2] ^= 0xFF
+		bad := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(bad, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.read(bad); err == nil || !strings.Contains(err.Error(), bad) {
+			t.Fatalf("corrupt file read = %v, want error naming %s", err, bad)
+		}
 	}
 }
