@@ -246,10 +246,8 @@ func BenchmarkBankStepEvents(b *testing.B) {
 
 // BenchmarkKernelCompareCount measures the raw compare+count kernel the
 // predictor StepRun paths are built on: one 4096-lane constant-equality
-// pass (hit bytes out, popcount back). Under -tags vpasmkernel on amd64
-// this exercises the AVX2 variant; otherwise the portable SWAR path. CI
-// ratchets ns/op here under both tag sets, so neither implementation can
-// silently regress.
+// pass (hit bytes out, popcount back) through the portable SWAR path.
+// CI ratchets its ns/op, so the kernel cannot silently regress.
 func BenchmarkKernelCompareCount(b *testing.B) {
 	const lanes = 4096
 	values := make([]uint64, lanes)

@@ -59,12 +59,8 @@ type Report struct {
 	// GOMAXPROCS and NumCPU pin the parallelism the numbers were measured
 	// at — ns/op from hosts with different core counts are not comparable,
 	// and the -N benchmark-name suffix alone does not record the machine.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-	// Tags records the -tags build-tag set the benchmarks were compiled
-	// with. Tagged builds run different code (e.g. the vpasmkernel asm
-	// kernels), so records with different tags are not comparable.
-	Tags       string        `json:"tags,omitempty"`
+	GOMAXPROCS int           `json:"gomaxprocs"`
+	NumCPU     int           `json:"num_cpu"`
 	Package    string        `json:"package"`
 	Bench      string        `json:"bench"`
 	Benchtime  string        `json:"benchtime"`
@@ -134,8 +130,7 @@ func parseBenchOutput(out []byte) []BenchResult {
 // no prior record has the benchmark.
 func bestPriorNs(prior []Report, cur Report, name string) (best float64, ok bool) {
 	for _, rep := range prior {
-		if rep.GOOS != cur.GOOS || rep.GOARCH != cur.GOARCH || rep.GOMAXPROCS != cur.GOMAXPROCS ||
-			rep.Tags != cur.Tags {
+		if rep.GOOS != cur.GOOS || rep.GOARCH != cur.GOARCH || rep.GOMAXPROCS != cur.GOMAXPROCS {
 			continue
 		}
 		for _, b := range rep.Benchmarks {
@@ -223,7 +218,6 @@ func main() {
 		assertRE   = flag.String("assert-zero-alloc", "", "regex of benchmarks that must report 0 allocs/op; non-zero exit on violation or no match")
 		ratchetRE  = flag.String("ratchet", "", "regex of benchmarks whose ns/op must stay within -ratchet-pct of the best comparable history record; non-zero exit on regression (requires a history -out)")
 		ratchetPct = flag.Float64("ratchet-pct", 15, "allowed ns/op regression over the historical best, in percent")
-		tags       = flag.String("tags", "", "build tags passed to go test (e.g. vpasmkernel); recorded in the report and part of ratchet comparability")
 	)
 	flag.Parse()
 	if *ratchetRE != "" && (*out == "" || *out == "-") {
@@ -237,11 +231,8 @@ func main() {
 		"-benchmem",
 		"-benchtime=" + *benchtime,
 		"-count=" + strconv.Itoa(*count),
+		*pkg,
 	}
-	if *tags != "" {
-		args = append(args, "-tags="+*tags)
-	}
-	args = append(args, *pkg)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
 	raw, err := cmd.Output()
@@ -259,7 +250,6 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
-		Tags:       *tags,
 		Package:    *pkg,
 		Bench:      *bench,
 		Benchtime:  *benchtime,

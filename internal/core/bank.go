@@ -92,13 +92,6 @@ func b2u8(b bool) byte {
 	return 0
 }
 
-// roundUp8 rounds a buffer length up to a multiple of 8 — the SWAR
-// kernels' block width — so grouped runs of any length sit in buffers
-// with whole blocks of capacity behind them.
-func roundUp8(n int) int {
-	return (n + 7) &^ 7
-}
-
 // stepOne applies the per-event protocol for one predictor and returns 1
 // on a correct prediction. It is the per-event reference the batch
 // kernels are parity-tested against (bank_parity_test.go) and the
@@ -231,11 +224,11 @@ func (b *Bank) StepBatchCollect(pcs, values, counts []uint64, bits [][]uint64) {
 	if observing {
 		for i := range b.obsHits {
 			if cap(b.obsHits[i]) < n {
-				b.obsHits[i] = make([]byte, roundUp8(n))
+				b.obsHits[i] = make([]byte, n)
 			}
 		}
 		if anyFallback && cap(b.obsTmp) < n {
-			b.obsTmp = make([]byte, roundUp8(n))
+			b.obsTmp = make([]byte, n)
 		}
 	}
 	nw := (n + 63) / 64
@@ -312,7 +305,7 @@ func (b *Bank) group(pcs, values []uint64, needOrder bool) {
 	b.gpc = b.gpc[:0]
 	b.cnt = b.cnt[:0]
 	if cap(b.egid) < n {
-		b.egid = make([]int32, roundUp8(n))
+		b.egid = make([]int32, n)
 	}
 	egid := b.egid[:n]
 	for j, pc := range pcs {
@@ -345,14 +338,10 @@ func (b *Bank) group(pcs, values []uint64, needOrder bool) {
 		starts[g+1] = starts[g] + b.cnt[g]
 	}
 	b.starts = starts
-	// Run buffers are sized to a multiple of 8, so word-parallel
-	// kernels always have whole blocks of capacity behind any
-	// odd-length run and never need a scalar tail-guard copy.
 	if cap(b.order) < n {
-		na := roundUp8(n)
-		b.order = make([]int32, na)
-		b.gvals = make([]uint64, na)
-		b.hits = make([]byte, na)
+		b.order = make([]int32, n)
+		b.gvals = make([]uint64, n)
+		b.hits = make([]byte, n)
 	}
 	gvals := b.gvals[:n]
 	fill := b.cnt // repurpose the counts as fill cursors

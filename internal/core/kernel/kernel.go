@@ -6,20 +6,11 @@
 // fuzzer; kernels must be bit-identical to their reference — same
 // hits bytes, same counts — on every input.
 //
-// Two implementations exist:
-//
-//   - portable SWAR (swar.go): 8-unrolled uint64 lanes, equality via
-//     the xor / subtract-borrow / mask-msb trick, hit masks folded
-//     with popcount. This is the default on every platform.
-//   - amd64 assembly (compare_amd64.s, build tag "vpasmkernel"):
-//     AVX2 4-lane VPCMPEQQ compare+count selected at runtime by CPUID
-//     feature detection, falling back to the portable SWAR path on
-//     CPUs without AVX2. Impl() reports which variant is live.
-//
-// Kernels never read or write past len() of their arguments, so
-// callers do not need tail padding; core.Bank still rounds its run
-// buffers up to a multiple of 8 so future wide variants can drop the
-// tail loop entirely.
+// There is one implementation, the portable SWAR path (swar.go):
+// 8-unrolled uint64 lanes, equality via the xor / subtract-borrow /
+// mask-msb trick, hit masks folded with popcount. Kernels never read
+// or write past len() of their arguments, so callers need no tail
+// padding.
 package kernel
 
 // CompareConstCount compares every element of values against the
@@ -27,7 +18,7 @@ package kernel
 // and 0 elsewhere, and returns the number of hits. hits must be at
 // least len(values) long.
 func CompareConstCount(values []uint64, pred uint64, hits []byte) uint64 {
-	return compareConstCount(values, pred, hits)
+	return compareConstCountSWAR(values, pred, hits)
 }
 
 // CompareConstCountLast is the fused variant of CompareConstCount: it

@@ -234,17 +234,9 @@ func TestKernelZeroAlloc(t *testing.T) {
 		Scatter(hits, idx, bits)
 	})
 	if allocs != 0 {
-		t.Fatalf("kernel hot path allocated %.1f times per run (impl=%s)", allocs, Impl())
+		t.Fatalf("kernel hot path allocated %.1f times per run'", allocs)
 	}
 	_ = sink
-}
-
-func TestImplReported(t *testing.T) {
-	switch Impl() {
-	case "swar", "avx2":
-	default:
-		t.Fatalf("unexpected kernel impl %q", Impl())
-	}
 }
 
 func BenchmarkKernelCompareCount(b *testing.B) {

@@ -2,9 +2,9 @@ package kernel
 
 // The *Ref functions are the scalar, obviously-correct twins of the
 // exported kernels. They are the parity oracle: the property tests
-// and FuzzKernelCompareCount assert the SWAR (and, under the
-// vpasmkernel build tag, assembly) paths produce bit-identical hits
-// and counts on every input. They are not called from the hot path.
+// and FuzzKernelCompareCount assert the SWAR kernels produce
+// bit-identical hits and counts on every input. They are not called
+// from the hot path.
 
 // CompareConstCountRef is the scalar reference for CompareConstCount.
 func CompareConstCountRef(values []uint64, pred uint64, hits []byte) uint64 {

@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// TestBankOddRunLengths pins the counting-sort arena rounding: runs
-// whose lengths are not multiples of the SWAR block width (1, 7, 9, 63
-// events) must step bit-identically to the per-event reference — hits,
-// counts and saved state — through every kernel-backed predictor.
+// TestBankOddRunLengths pins the unpadded run buffers: runs whose
+// lengths are not multiples of the SWAR block width (1, 7, 9, 63
+// events) sit in buffers exactly as long as the batch, and must step
+// bit-identically to the per-event reference — hits, counts and saved
+// state — through every kernel-backed predictor.
 func TestBankOddRunLengths(t *testing.T) {
 	mk := func() []Predictor {
 		return []Predictor{

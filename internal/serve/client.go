@@ -72,22 +72,18 @@ func (c *Client) Predictors() []string { return append([]string(nil), c.preds...
 // Shards returns the server's shard count.
 func (c *Client) Shards() int { return c.shards }
 
-// Send enqueues one events batch (buffered; flushed when the buffer
-// fills or Flush/CloseWrite is called).
+// Send enqueues one untraced events batch (buffered; flushed when the
+// buffer fills or Flush/CloseWrite is called).
 func (c *Client) Send(evs []Event) error {
-	c.sbuf = appendEvents(c.sbuf[:0], evs)
-	return writeFrame(c.bw, c.sbuf)
+	return c.SendTraced(evs, otrace.Context{})
 }
 
 // SendTraced is Send carrying a trace context: the server records spans
 // for this request at every stage it crosses and tail-samples it into
 // GET /trace when it finishes slow, hits a degraded path, or carries the
-// head-sampling flag. Invalid (zero) contexts fall back to a plain
-// untraced events frame.
+// head-sampling flag. An invalid (zero trace id) context sends the
+// request untraced.
 func (c *Client) SendTraced(evs []Event, ctx otrace.Context) error {
-	if !ctx.Valid() {
-		return c.Send(evs)
-	}
 	c.sbuf = appendEventsTraced(c.sbuf[:0], evs, ctx)
 	return writeFrame(c.bw, c.sbuf)
 }

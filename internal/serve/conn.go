@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"time"
@@ -103,24 +102,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.metrics.framesIn.Inc()
 		s.metrics.bytesIn.Add(uint64(4 + len(frame)))
 		var tctx otrace.Context
-		body := frame[1:]
-		switch frame[0] {
-		case msgEvents:
-		case msgEventsTraced:
-			tctx, body, err = decodeTraceHeader(frame[1:])
-			if err != nil {
-				s.metrics.decodeErrors.Inc()
-				readErr = err
-				break
-			}
-		default:
-			s.metrics.decodeErrors.Inc()
-			readErr = fmt.Errorf("serve: unexpected message type %d", frame[0])
-		}
-		if readErr != nil {
-			break
-		}
-		scratch, err = decodeEventsInto(body, scratch[:0])
+		tctx, scratch, err = decodeEventsFrame(frame, scratch[:0])
 		if err != nil {
 			s.metrics.decodeErrors.Inc()
 			// A traced frame whose body failed to decode is a degraded

@@ -15,36 +15,36 @@ import (
 // message type.
 //
 //	server → client on connect:   hello   (version, shard count, predictor names)
-//	client → server, repeated:    events  (count, count × (uvarint pc, uvarint value))
-//	client → server, repeated:    eventsT (trace id, span id, flags, then the events body)
+//	client → server, repeated:    events  (trace id, span id, flags, count,
+//	                                       count × (uvarint pc, uvarint value))
 //	server → client, in order:    result  (count, per-predictor correct counts)
 //	server → client on error:     error   (message), then the connection closes
 //
-// Requests may be pipelined: the client can send any number of events
-// frames before reading results; the server answers strictly in request
-// order. A client that is done sending half-closes the write side; the
-// server flushes the remaining results and closes.
+// An events frame with a zero trace id is untraced. Requests may be
+// pipelined: the client can send any number of events frames before
+// reading results; the server answers strictly in request order. A
+// client that is done sending half-closes the write side; the server
+// flushes the remaining results and closes.
 //
 // Version history:
 //
 //	v1: hello / events / result / error.
 //	v2: adds eventsT — an events frame prefixed by a 17-byte trace
 //	    header (8-byte LE trace id, 8-byte LE span id, 1 flags byte).
-//	    v1 frames remain valid and are served as untraced; v1 clients
-//	    reject a v2 hello, which is the intended "upgrade me" signal,
-//	    and v2 clients reject a v1 hello, since a v1 server cannot
-//	    parse the eventsT frames they may send.
+//	v3: eventsT is the only events frame; the header-less type-2
+//	    frame is gone, and a zero trace id means untraced. A client
+//	    accepts only a hello of its own version, so a client built for
+//	    another version fails at connect, not on its first frame.
 const (
-	protoVersion = 2
+	protoVersion = 3
 
 	msgHello        = 1
-	msgEvents       = 2
 	msgResult       = 3
 	msgError        = 4
 	msgEventsTraced = 5
 
-	// traceHeaderLen is the fixed eventsT prefix after the type byte:
-	// trace id + span id + flags.
+	// traceHeaderLen is the fixed events-frame prefix after the type
+	// byte: trace id + span id + flags.
 	traceHeaderLen = 8 + 8 + 1
 
 	// maxFrame bounds a single frame payload (64 MiB) so a corrupt or
@@ -159,17 +159,7 @@ func decodeHello(p []byte) (shards int, priorEvents uint64, preds []string, err 
 	return int(ns), priorEvents, preds, nil
 }
 
-func appendEvents(buf []byte, evs []Event) []byte {
-	buf = append(buf, msgEvents)
-	buf = binary.AppendUvarint(buf, uint64(len(evs)))
-	for _, ev := range evs {
-		buf = binary.AppendUvarint(buf, ev.PC)
-		buf = binary.AppendUvarint(buf, ev.Value)
-	}
-	return buf
-}
-
-// decodeEventsInto parses an events payload (after the type byte) into
+// decodeEventsInto parses an events body (after the trace header) into
 // dst's backing array, growing it only when the batch outsizes every
 // previous one — the connection reader's steady state decodes with zero
 // allocation. The result is scratch: callers that need the events beyond
@@ -210,8 +200,9 @@ func decodeEvents(p []byte) ([]Event, error) {
 	return decodeEventsInto(p, nil)
 }
 
-// appendEventsTraced encodes a v2 traced events frame: the fixed trace
-// header, then the same body appendEvents produces.
+// appendEventsTraced encodes an events frame: the fixed trace header
+// (all zero for an untraced request), then the event count and the
+// uvarint (pc, value) pairs.
 func appendEventsTraced(buf []byte, evs []Event, ctx otrace.Context) []byte {
 	buf = append(buf, msgEventsTraced)
 	buf = binary.LittleEndian.AppendUint64(buf, ctx.TraceID)
@@ -225,7 +216,24 @@ func appendEventsTraced(buf []byte, evs []Event, ctx otrace.Context) []byte {
 	return buf
 }
 
-// decodeTraceHeader splits an eventsT payload (after the type byte) into
+// decodeEventsFrame parses one non-empty client frame, as readFrame
+// returns it (type byte included), the way the connection reader does: the type must be an events frame,
+// then the trace header, then the events body into dst's backing array
+// (see decodeEventsInto). On a body error the decoded trace context is
+// still returned, so a traced request's failure can be recorded.
+func decodeEventsFrame(frame []byte, dst []Event) (otrace.Context, []Event, error) {
+	if frame[0] != msgEventsTraced {
+		return otrace.Context{}, nil, fmt.Errorf("serve: unexpected message type %d", frame[0])
+	}
+	ctx, body, err := decodeTraceHeader(frame[1:])
+	if err != nil {
+		return otrace.Context{}, nil, err
+	}
+	evs, err := decodeEventsInto(body, dst)
+	return ctx, evs, err
+}
+
+// decodeTraceHeader splits an events payload (after the type byte) into
 // its trace context and the events body that follows.
 func decodeTraceHeader(p []byte) (otrace.Context, []byte, error) {
 	if len(p) < traceHeaderLen {
@@ -293,11 +301,17 @@ func decodeError(p []byte) string {
 	return string(p[:n])
 }
 
-// uvarint decodes one varint from p, returning the remainder.
+// uvarint decodes one varint from p, returning the remainder. Only the
+// minimal encoding binary.AppendUvarint writes is accepted: a padded
+// form (a trailing 0x00 group after a continuation byte) decodes to
+// the same value, so accepting it would give one frame two encodings.
 func uvarint(p []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(p)
 	if n <= 0 {
 		return 0, nil, io.ErrUnexpectedEOF
+	}
+	if n > 1 && p[n-1] == 0 {
+		return 0, nil, fmt.Errorf("serve: non-minimal varint")
 	}
 	return v, p[n:], nil
 }

@@ -25,8 +25,12 @@ func TestHelloRoundTrip(t *testing.T) {
 
 func TestEventsRoundTrip(t *testing.T) {
 	in := []Event{{PC: 0x400, Value: 42}, {PC: 1 << 62, Value: ^uint64(0)}, {PC: 0, Value: 0}}
-	buf := appendEvents(nil, in)
-	out, err := decodeEvents(buf[1:])
+	buf := appendEventsTraced(nil, in, otrace.Context{})
+	ctx, body, err := decodeTraceHeader(buf[1:])
+	if err != nil || ctx.Valid() {
+		t.Fatalf("untraced header: ctx=%+v err=%v", ctx, err)
+	}
+	out, err := decodeEvents(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +65,10 @@ func TestEventsTracedRoundTrip(t *testing.T) {
 	if len(out) != len(in) || out[0] != in[0] || out[1] != in[1] {
 		t.Fatalf("events = %+v, want %+v", out, in)
 	}
-	// The traced body past the header is bit-identical to the untraced
-	// encoding — both frame versions share one events codec.
-	untraced := appendEvents(nil, in)
-	if !bytes.Equal(body, untraced[1:]) {
+	// The body past the header does not depend on the trace context:
+	// traced and untraced requests share one events codec.
+	untraced := appendEventsTraced(nil, in, otrace.Context{})
+	if !bytes.Equal(body, untraced[1+traceHeaderLen:]) {
 		t.Fatal("traced body diverges from untraced encoding")
 	}
 }
@@ -89,10 +93,12 @@ func TestDecodeTraceHeaderMalformed(t *testing.T) {
 }
 
 func TestHelloRejectsV1(t *testing.T) {
-	// A client speaks only protoVersion: a v1 server would reject the
-	// traced frames SendTraced sends, so its hello fails the connect.
+	// Only a protoVersion hello is accepted. The same check in an
+	// older client rejects this server's v3 hello, so a v2 client,
+	// whose Send writes the retired header-less type-2 frame, fails
+	// at connect rather than on its first untraced frame.
 	buf := appendHello(nil, 3, 9, []string{"l"})
-	for _, version := range []byte{1, 9} {
+	for _, version := range []byte{1, 2, 9} {
 		hello := append([]byte{}, buf[1:]...)
 		hello[0] = version
 		if _, _, _, err := decodeHello(hello); err == nil {
@@ -124,9 +130,18 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		t.Error("short events payload accepted")
 	}
 	// Trailing garbage after a well-formed event.
-	buf := appendEvents(nil, []Event{{PC: 1, Value: 2}})
-	if _, err := decodeEvents(append(buf[1:], 0xFF)); err == nil {
+	buf := appendEventsTraced(nil, []Event{{PC: 1, Value: 2}}, otrace.Context{})
+	if _, err := decodeEvents(append(buf[1+traceHeaderLen:], 0xFF)); err == nil {
 		t.Error("trailing bytes accepted")
+	}
+	// A padded varint (0x81 0x00 also decodes as 1) would give one
+	// frame two encodings.
+	if _, err := decodeEvents([]byte{1, 0x81, 0x00, 0x02}); err == nil {
+		t.Error("non-minimal varint accepted")
+	}
+	// The header-less type-2 events frame was retired in protocol v3.
+	if _, _, err := decodeEventsFrame([]byte{2, 0}, nil); err == nil {
+		t.Error("type-2 events frame accepted")
 	}
 	if _, _, _, err := decodeHello([]byte{99}); err == nil {
 		t.Error("wrong protocol version accepted")
@@ -144,7 +159,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 func TestFrameRoundTripAndLimits(t *testing.T) {
 	var nw bytes.Buffer
 	bw := bufio.NewWriter(&nw)
-	payload := []byte{msgEvents, 0}
+	payload := appendEventsTraced(nil, nil, otrace.Context{})
 	if err := writeFrame(bw, payload); err != nil {
 		t.Fatal(err)
 	}
